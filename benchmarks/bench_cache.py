@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import json
 import hashlib
-import os
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
@@ -38,31 +36,13 @@ from repro.server.shards import (
 )
 from repro.utils.clock import wall_now
 
+from _record import record_entry
+
 pytestmark = pytest.mark.cache
 
 OVERHEAD_LIMIT = 0.02
 """The per-read eviction steps (TTL check + LRU touch stamp) may cost
 at most this fraction of a full shard read."""
-
-_ARTIFACT_ENTRIES = {}
-
-
-def _artifact_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_DIR", ".")) / "BENCH_cache.json"
-
-
-def _record(name: str, payload: dict) -> None:
-    _ARTIFACT_ENTRIES[name] = payload
-    path = _artifact_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as stream:
-        json.dump(
-            {"benchmark": "cache", "entries": _ARTIFACT_ENTRIES},
-            stream,
-            indent=2,
-            sort_keys=True,
-        )
-        stream.write("\n")
 
 
 def _key(tag: str) -> str:
@@ -115,7 +95,8 @@ def test_eviction_overhead_on_hot_reads(tmp_path, root_seed):
     verify_seconds = (time.perf_counter() - began) / iterations
 
     overhead_fraction = eviction_seconds / read_seconds
-    _record(
+    record_entry(
+        "cache",
         "eviction_overhead_hot_reads",
         {
             "entries": len(keys),
@@ -150,7 +131,8 @@ def test_full_gc_latency(tmp_path, root_seed):
     assert len(report.evicted_keys) == total // 2
     assert tier.entry_count() == total // 2
 
-    _record(
+    record_entry(
+        "cache",
         "full_gc_latency",
         {
             "entries_before": total,

@@ -23,11 +23,8 @@ overridable via ``REPRO_BENCH_DIR``):
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 import threading
 import time
-from pathlib import Path
 
 from repro.benchgen.random_matrices import random_matrix
 from repro.core.binary_matrix import BinaryMatrix
@@ -40,6 +37,8 @@ from repro.server.tenancy import (
     TenantConfig,
     TenantRegistry,
 )
+
+from _record import record_entry
 
 SLOW_MATRIX = random_matrix(12, 12, 0.6, seed=3)
 """No exact backend certifies this inside a ~1 s slice, so budgeted
@@ -57,26 +56,6 @@ FAST_MATRICES = [
 ]
 
 NUM_TENANTS = 6
-
-_ARTIFACT_ENTRIES = {}
-
-
-def _artifact_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_DIR", ".")) / "BENCH_gateway.json"
-
-
-def _record(name: str, payload: dict) -> None:
-    _ARTIFACT_ENTRIES[name] = payload
-    path = _artifact_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as stream:
-        json.dump(
-            {"benchmark": "gateway", "entries": _ARTIFACT_ENTRIES},
-            stream,
-            indent=2,
-            sort_keys=True,
-        )
-        stream.write("\n")
 
 
 def _start_gateway(gateway: SolveGateway) -> threading.Thread:
@@ -174,7 +153,7 @@ def test_latency_to_first_event_under_tenants(root_seed):
         "per_tenant": results,
         "server_cases_completed": metrics["cases"]["completed"],
     }
-    _record("latency_under_tenants", payload)
+    record_entry("gateway", "latency_under_tenants", payload)
     assert metrics["cases"]["completed"] == NUM_TENANTS * len(FAST_MATRICES)
 
 
@@ -224,7 +203,7 @@ def test_thread_vs_process_executor(root_seed):
         "thread": timings["thread"],
         "process": timings["process"],
     }
-    _record("thread_vs_process_executor", payload)
+    record_entry("gateway", "thread_vs_process_executor", payload)
     for executor, timing in timings.items():
         assert timing["completed"] == len(FAST_MATRICES), executor
         # The wire form of the streaming fix: both executors deliver
@@ -303,7 +282,7 @@ def test_rejection_rate_at_saturation(root_seed):
         ),
         "admission_snapshot": snapshot,
     }
-    _record("rejection_at_saturation", payload)
+    record_entry("gateway", "rejection_at_saturation", payload)
     # At most 1 solving + 1 waiting can be admitted at any instant; a
     # 6-wide burst against a ~1 s solve must shed load.
     assert rejected, "saturated gateway never rejected"

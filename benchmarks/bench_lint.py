@@ -16,8 +16,6 @@ written to ``BENCH_lint.json`` (directory overridable via
 
 from __future__ import annotations
 
-import json
-import os
 import statistics
 import time
 from pathlib import Path
@@ -25,30 +23,12 @@ from pathlib import Path
 from repro.analysis import Analyzer
 from repro.analysis.rules import default_rules
 
+from _record import record_entry
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 FULL_LINT_LIMIT_SECONDS = 2.0
 """A full-repo lint pass must finish well inside one human beat."""
-
-_ARTIFACT_ENTRIES = {}
-
-
-def _artifact_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_DIR", ".")) / "BENCH_lint.json"
-
-
-def _record(name: str, payload: dict) -> None:
-    _ARTIFACT_ENTRIES[name] = payload
-    path = _artifact_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as stream:
-        json.dump(
-            {"benchmark": "lint", "entries": _ARTIFACT_ENTRIES},
-            stream,
-            indent=2,
-            sort_keys=True,
-        )
-        stream.write("\n")
 
 
 def test_full_repo_lint_wall_time():
@@ -72,7 +52,7 @@ def test_full_repo_lint_wall_time():
         "wall_seconds_median": median_wall,
         "limit_seconds": FULL_LINT_LIMIT_SECONDS,
     }
-    _record("full_repo_lint", payload)
+    record_entry("lint", "full_repo_lint", payload)
     assert median_wall < FULL_LINT_LIMIT_SECONDS, (
         f"full-repo lint took {median_wall:.2f}s "
         f"(limit {FULL_LINT_LIMIT_SECONDS:.1f}s)"
@@ -96,5 +76,5 @@ def test_parse_versus_rule_split():
         "total_seconds": total_seconds,
         "rule_seconds_estimate": max(0.0, total_seconds - parse_seconds),
     }
-    _record("parse_versus_rules", payload)
+    record_entry("lint", "parse_versus_rules", payload)
     assert full.files_scanned == report.files_scanned

@@ -14,10 +14,8 @@ beat the cold batch regardless of hardware.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -26,27 +24,9 @@ from repro.service.batch import solve_batch
 from repro.service.cache import ResultCache
 from repro.service.portfolio import solve_portfolio
 
+from _record import record_entry
+
 MEMBERS = ("trivial", "packing:8", "sap")
-
-_ARTIFACT_ENTRIES = {}
-
-
-def _artifact_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_DIR", ".")) / "BENCH_portfolio.json"
-
-
-def _record(name: str, payload: dict) -> None:
-    _ARTIFACT_ENTRIES[name] = payload
-    path = _artifact_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as stream:
-        json.dump(
-            {"benchmark": "portfolio", "entries": _ARTIFACT_ENTRIES},
-            stream,
-            indent=2,
-            sort_keys=True,
-        )
-        stream.write("\n")
 
 
 def _cases(scale: str, seed: int):
@@ -97,7 +77,7 @@ def test_batch_vs_sequential(benchmark, scale, root_seed):
         "speedup_vs_sequential": speedup,
     }
     benchmark.extra_info.update(payload)
-    _record("batch_vs_sequential", payload)
+    record_entry("portfolio", "batch_vs_sequential", payload)
 
 
 def test_cached_rerun_is_lookup_fast(benchmark, scale, root_seed):
@@ -127,7 +107,7 @@ def test_cached_rerun_is_lookup_fast(benchmark, scale, root_seed):
         "cache_stats": cache.stats.as_dict(),
     }
     benchmark.extra_info.update(payload)
-    _record("cached_rerun", payload)
+    record_entry("portfolio", "cached_rerun", payload)
     # O(lookup): the warm batch must crush the cold one on any hardware.
     assert speedup >= 2.0
 

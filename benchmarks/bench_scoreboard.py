@@ -14,42 +14,19 @@ gate and must stay so; wall-clock is recorded, not asserted, because
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 from repro.corpus.baseline import baseline_from_report, diff_against_baseline
 from repro.corpus.registry import build_corpus
 from repro.corpus.scoreboard import run_scoreboard
 from repro.service.cache import ResultCache
 
+from _record import record_entry
+
 MEMBERS = ("trivial", "packing:8", "sap")
 
 SMOKE_INSTANCE_BUDGET = 40
 """The smoke corpus must stay a CI-gate size, not a sweep size."""
-
-_ARTIFACT_ENTRIES = {}
-
-
-def _artifact_path() -> Path:
-    return (
-        Path(os.environ.get("REPRO_BENCH_DIR", ".")) / "BENCH_scoreboard.json"
-    )
-
-
-def _record(name: str, payload: dict) -> None:
-    _ARTIFACT_ENTRIES[name] = payload
-    path = _artifact_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as stream:
-        json.dump(
-            {"benchmark": "scoreboard", "entries": _ARTIFACT_ENTRIES},
-            stream,
-            indent=2,
-            sort_keys=True,
-        )
-        stream.write("\n")
 
 
 def _profile(scale: str) -> str:
@@ -68,7 +45,7 @@ def test_corpus_build_cost(benchmark, scale, root_seed):
         "build_seconds": benchmark.stats.stats.min,
     }
     benchmark.extra_info.update(payload)
-    _record("corpus_build", payload)
+    record_entry("scoreboard", "corpus_build", payload)
 
 
 def test_smoke_gate_latency(benchmark, root_seed):
@@ -97,7 +74,7 @@ def test_smoke_gate_latency(benchmark, root_seed):
         ) / len(report.rows),
     }
     benchmark.extra_info.update(payload)
-    _record("smoke_gate", payload)
+    record_entry("scoreboard", "smoke_gate", payload)
 
 
 def test_cached_rerun_leverage(benchmark, scale, root_seed):
@@ -133,4 +110,4 @@ def test_cached_rerun_leverage(benchmark, scale, root_seed):
         ),
     }
     benchmark.extra_info.update(payload)
-    _record("cached_rerun", payload)
+    record_entry("scoreboard", "cached_rerun", payload)

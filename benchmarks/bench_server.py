@@ -23,11 +23,8 @@ Raw parallel speedups are recorded, never asserted (1-CPU runners).
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
-import os
 import time
-from pathlib import Path
 
 from repro.benchgen.random_matrices import random_matrix
 from repro.core.binary_matrix import BinaryMatrix
@@ -35,6 +32,8 @@ from repro.server.engine import DONE, AsyncSolveEngine
 from repro.server.shards import ShardedDiskTier
 from repro.service.batch import BatchItem, solve_batch
 from repro.service.cache import ResultCache
+
+from _record import record_entry
 
 SLOW_MATRIX = random_matrix(12, 12, 0.6, seed=3)
 """No exact backend certifies this inside a ~1 s slice, so budgeted
@@ -54,26 +53,6 @@ FAST_MATRICES = [
 ]
 
 MEMBER_BUDGET = 1.0
-
-_ARTIFACT_ENTRIES = {}
-
-
-def _artifact_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_DIR", ".")) / "BENCH_server.json"
-
-
-def _record(name: str, payload: dict) -> None:
-    _ARTIFACT_ENTRIES[name] = payload
-    path = _artifact_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as stream:
-        json.dump(
-            {"benchmark": "server", "entries": _ARTIFACT_ENTRIES},
-            stream,
-            indent=2,
-            sort_keys=True,
-        )
-        stream.write("\n")
 
 
 def _skewed_suite():
@@ -125,7 +104,7 @@ def test_streaming_beats_barrier_to_first_result(root_seed):
         "stream_first_case": first_case,
         "first_result_speedup": barrier_seconds / first_seconds,
     }
-    _record("streaming_vs_barrier", payload)
+    record_entry("server", "streaming_vs_barrier", payload)
     # Architecture, not hardware: the barrier holds every result behind
     # the slow instance's ~1 s budget; streaming hands a fast instance
     # back while the slow one is still burning it.
@@ -157,7 +136,7 @@ def test_concurrent_race_overlaps_budget_slices(root_seed):
         "concurrent_seconds": timings["concurrent"],
         "speedup": timings["sequential"] / timings["concurrent"],
     }
-    _record("racing_sequential_vs_concurrent", payload)
+    record_entry("server", "racing_sequential_vs_concurrent", payload)
     # Budget arithmetic, not hardware: two uncertifiable exact slices
     # cost ~2 budgets serially but ~1 budget overlapped.
     assert timings["concurrent"] <= timings["sequential"] * 0.8
@@ -204,6 +183,6 @@ def test_shared_cache_contention(tmp_path, root_seed):
         "surviving_entries": surviving,
         "wall_seconds": wall_seconds,
     }
-    _record("shared_cache_contention", payload)
+    record_entry("server", "shared_cache_contention", payload)
     # The no-lost-entries contract: both writers' results all land.
     assert surviving == 20

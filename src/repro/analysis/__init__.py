@@ -2,8 +2,8 @@
 
 The serving stack's correctness story rests on invariants that no unit
 test can watch globally — byte-identical provenance needs seeded RNG
-everywhere, budget math needs monotonic clocks, spawn-context executors
-need picklable callables, recovery paths must fail loudly, and every
+everywhere, budget math needs monotonic clocks, forkserver and spawn
+workers need picklable callables, recovery paths must fail loudly, and every
 fault seam must stay chaos-tested.  This package turns those reviewer
 rules into ``REPnnn`` lint rules run by ``python -m repro lint`` and
 gated in tier-1 (``tests/analysis/``).

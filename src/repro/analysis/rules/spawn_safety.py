@@ -1,18 +1,21 @@
-"""REP004 — spawn-safe process-pool submission.
+"""REP004 — spawn-safe hand-off of callables to worker processes.
 
-The engine's process executors use the *spawn* context (PR 3: workers
-must not inherit server connection fds), and spawn pickles every
-submitted callable.  Lambdas and nested functions are not picklable, so
-code that works under fork explodes the moment the context flips —
-exactly the class of bug that only fires on the platform you did not
-test.  The rule flags unpicklable callables handed to executor-shaped
-call sites in modules that use process pools.
+A worker that is not a plain fork of its caller — the ``forkserver``
+workers of :class:`repro.service.pool.WorkerPool` (which must not
+inherit a server's connection fds), or any ``spawn`` context — gets its
+callable pickled, by qualified name.  Lambdas and nested functions have
+no importable name, so code that works under fork fails the moment the
+start method changes — exactly the class of bug that only fires on the
+platform you did not test.  In modules that use process pools or
+:mod:`multiprocessing`, the rule flags unpicklable callables passed to
+executor-shaped call sites (``.submit()``, ``.apply_async()``) and as
+``target=`` to ``Process(...)``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.analysis.engine import FileContext, FileRule
 from repro.analysis.findings import Finding
@@ -48,6 +51,27 @@ def _uses_process_pools(tree: ast.AST) -> bool:
     return False
 
 
+def _handed_off_callable(node: ast.Call) -> Optional[Tuple[ast.AST, str]]:
+    """The callable a call hands to a worker process, and the call site.
+
+    ``pool.submit(fn, ...)`` / ``pool.apply_async(fn, ...)`` pass it
+    first; ``Process(target=fn)`` and ``ctx.Process(target=fn)`` by
+    keyword.
+    """
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        if func.attr in _SUBMIT_METHODS and node.args:
+            return node.args[0], f".{func.attr}()"
+        name = func.attr
+    else:
+        name = getattr(func, "id", None)
+    if name == "Process":
+        for keyword in node.keywords:
+            if keyword.arg == "target":
+                return keyword.value, "Process(target=...)"
+    return None
+
+
 def _nested_function_names(tree: ast.AST) -> Set[str]:
     """Names of functions defined *inside* another function."""
     nested: Set[str] = set()
@@ -70,13 +94,13 @@ def _nested_function_names(tree: ast.AST) -> Set[str]:
 
 
 class SpawnSafeSubmitRule(FileRule):
-    """REP004: only picklable callables go to process executors."""
+    """REP004: only picklable callables go to worker processes."""
 
     rule_id = "REP004"
-    title = "no lambdas/closures submitted to process executors"
+    title = "no lambdas/closures handed to worker processes"
     hint = (
-        "hoist the callable to module level (spawn pickles it by "
-        "qualified name) and pass state through its arguments"
+        "hoist the callable to module level (spawn and forkserver pickle "
+        "it by qualified name) and pass state through its arguments"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -86,21 +110,17 @@ class SpawnSafeSubmitRule(FileRule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            if (
-                not isinstance(func, ast.Attribute)
-                or func.attr not in _SUBMIT_METHODS
-                or not node.args
-            ):
+            handed_off = _handed_off_callable(node)
+            if handed_off is None:
                 continue
-            target = node.args[0]
+            target, site = handed_off
             reason = self._unpicklable_reason(target, nested)
             if reason is not None:
                 yield self.finding(
                     ctx,
                     node,
-                    f"{reason} passed to .{func.attr}() — not "
-                    f"picklable under a spawn context",
+                    f"{reason} passed to {site} — not picklable under "
+                    f"a spawn or forkserver context",
                 )
 
     @staticmethod

@@ -670,8 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--executor", default="thread", choices=["thread", "process"],
-            help="solve in threads (live cancel) or a process pool "
-            "(multi-core; member events stream over a manager queue)",
+            help="solve in threads (live cancel) or on worker processes "
+            "(multi-core; member events stream back over each worker's "
+            "pipe)",
         )
         p.add_argument(
             "--tenants", default=None,

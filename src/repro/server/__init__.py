@@ -3,13 +3,11 @@
 Where :mod:`repro.service` turns one batch into results, this package
 turns a *stream of requests* into a *stream of results*:
 
-* :mod:`engine` — :class:`AsyncSolveEngine`, an asyncio front over an
-  executor that yields per-instance :class:`SolveEvent` s as they
-  complete, with bounded in-flight backpressure and per-instance
-  cancellation;
-* :mod:`racing` — intra-instance racing of the exact backends with
-  cooperative loser cancellation (``race="concurrent"`` on the
-  portfolio/batch/engine entry points);
+* :mod:`engine` — :class:`AsyncSolveEngine`, an asyncio front over
+  solver threads (or, with ``executor="process"``, the worker pool of
+  :mod:`repro.service.pool`) that yields per-instance
+  :class:`SolveEvent` s as they complete, with bounded in-flight
+  backpressure and per-instance cancellation;
 * :mod:`shards` — a hash-prefix-sharded, ``fcntl``-locked disk tier so
   concurrent runners on one host share a result cache safely
   (``ResultCache.sharded``);
@@ -24,10 +22,13 @@ turns a *stream of requests* into a *stream of results*:
   rate, and per-solver win rates.  The daemon binds the same front to
   a unix socket, so both deployments share one stats surface.
 
-The serving stack is fault-tolerant end to end: worker death respawns
-the pool and re-dispatches only the lost cases (``worker_crashed``
-events, results marked ``status="retried"``), corrupt cache shards are
-quarantined and read cold, clients retry with
+Intra-instance racing lives in :mod:`repro.service.racing`;
+:class:`RaceToken` and :func:`race_members` are re-exported here.
+
+The serving stack is fault-tolerant end to end: a dead worker is
+respawned and only the case it was solving is re-dispatched
+(``worker_crashed`` events, results marked ``status="retried"``),
+corrupt cache shards are quarantined and read cold, clients retry with
 :class:`repro.server.client.RetryPolicy` (capped backoff + jitter,
 ``retry_after`` hints, reconnect-and-resume), sustained overload flips
 the front to heuristic-only *degraded* serving (``health`` op:
@@ -57,7 +58,6 @@ from repro.server.engine import (
     TERMINAL_EVENTS,
 )
 from repro.server.gateway import SolveGateway, StreamFront
-from repro.server.racing import RaceToken, race_members
 from repro.server.shards import ShardedDiskTier, quarantine_file
 from repro.server.tenancy import (
     AdmissionController,
@@ -70,6 +70,7 @@ from repro.server.tenancy import (
     TenantConfig,
     TenantRegistry,
 )
+from repro.service.racing import RaceToken, race_members
 from repro.utils.fileio import atomic_write_json, locked_file
 
 __all__ = [

@@ -20,16 +20,16 @@ deadline poll.
 The default executor runs solver threads in-process — on CPython the
 GIL serializes the pure-Python solvers, so threads trade no throughput
 away on a single core while keeping live ``member_finished`` events and
-mid-flight cancellation.  ``executor="process"`` fans instances over a
-:class:`concurrent.futures.ProcessPoolExecutor` instead (real
-parallelism on multi-core hosts).  Member events cross the process
-boundary on a ``multiprocessing.Manager`` queue drained by a dedicated
-thread, so process-pool deployments stream ``member_finished`` live
-too; each worker posts an end-of-stream marker before returning and the
-engine holds the terminal event until the marker arrives, preserving
-the members-before-terminal ordering.  Cancellation still only takes
-effect before an instance starts (cancel flags don't cross the pickle
-boundary).
+mid-flight cancellation.  ``executor="process"`` solves each instance
+on a :class:`repro.service.pool.WorkerPool` instead (real parallelism
+on multi-core hosts), called from the same solver threads: a thread
+hands its instance to a worker over that worker's pipe and relays the
+member events that come back, so process deployments stream
+``member_finished`` live too, all before the case's terminal event.  A
+dead worker is respawned and only its case re-dispatched
+(``worker_crashed``, then ``done`` marked ``retried``).  Cancellation
+still only takes effect before an instance starts (cancel flags don't
+cross the process boundary).
 
 A long-lived engine amortizes executor and cache warmup across many
 ``stream``/``solve`` calls — that is what
@@ -40,9 +40,6 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import itertools
-import multiprocessing
-import threading
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -61,7 +58,6 @@ from repro.service.batch import (
     STATUS_RETRIED,
     BatchRecord,
     CaseLike,
-    _solve_payload_streaming,
     as_batch_items,
     instance_seed,
     solve_context,
@@ -74,20 +70,19 @@ from repro.service.portfolio import (
     MemberOutcome,
     PortfolioResult,
     is_exact_member,
-    outcome_from_dict,
     result_from_dict,
     solve_portfolio,
     validate_members,
 )
+from repro.service.pool import WORKER_CRASHED, WorkerPool
+from repro.service.racing import RaceToken
 from repro.service.stats import WinTally
-from repro.server.racing import RaceToken
 
 EXECUTOR_KINDS = ("thread", "process")
 
 QUEUED = "queued"
 STARTED = "started"
 MEMBER_FINISHED = "member_finished"
-WORKER_CRASHED = "worker_crashed"
 DONE = "done"
 CANCELLED = "cancelled"
 FAILED = "failed"
@@ -178,15 +173,6 @@ def _member_event(case_id: str, outcome: MemberOutcome) -> SolveEvent:
     )
 
 
-def _prewarm_probe() -> int:
-    """Executed in a pool worker purely to force its process to start."""
-    import os
-    import time
-
-    time.sleep(0.05)
-    return os.getpid()
-
-
 @dataclass(frozen=True)
 class _StreamOptions:
     """One stream call's resolved configuration."""
@@ -236,6 +222,7 @@ class AsyncSolveEngine:
         self.race = race
         self.executor_kind = executor
         self._executor: Optional[concurrent.futures.Executor] = None
+        self._pool: Optional[WorkerPool] = None
         self._semaphore: Optional[asyncio.Semaphore] = None
         self._semaphore_loop: Optional[asyncio.AbstractEventLoop] = None
         self._active: Dict[str, RaceToken] = {}
@@ -244,63 +231,19 @@ class AsyncSolveEngine:
         self._cancelled = 0
         self._worker_crashes = 0
         self._tally = WinTally()
-        # Cross-process member-event channel (lazy; process executor only).
-        self._manager: Optional[multiprocessing.managers.SyncManager] = None
-        self._member_events: Optional[Any] = None
-        self._drainer: Optional[threading.Thread] = None
-        self._sinks: Dict[
-            str,
-            Tuple[
-                asyncio.AbstractEventLoop,
-                "asyncio.Queue[SolveEvent]",
-                str,
-                asyncio.Event,
-            ],
-        ] = {}
-        self._sink_tags = itertools.count()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @staticmethod
-    def _process_context() -> multiprocessing.context.BaseContext:
-        """Spawn, never fork: a forked worker inherits every open fd,
-        including accepted server connections — the child then holds a
-        client's socket open after the parent closes it, so the client
-        never sees EOF and hangs waiting for the stream to end.  Spawned
-        children start clean.  The (one-time) interpreter startup cost
-        is why long-lived fronts :meth:`prewarm` before accepting
-        traffic."""
-        return multiprocessing.get_context("spawn")
-
     def _ensure_executor(self) -> concurrent.futures.Executor:
         if self._executor is None:
+            self._executor = concurrent.futures.ThreadPoolExecutor(
+                max_workers=self.workers,
+                thread_name_prefix="solve-engine",
+            )
             if self.executor_kind == "process":
-                self._executor = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=self._process_context(),
-                )
-            else:
-                self._executor = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="solve-engine",
-                )
+                self._pool = WorkerPool(self.workers)
         return self._executor
-
-    def _respawn_executor(
-        self, broken: concurrent.futures.Executor
-    ) -> None:
-        """Discard a pool whose worker died; the next solve respawns it.
-
-        Identity-guarded: concurrent solves that all saw the same
-        ``BrokenProcessPool`` race to call this, and only the first one
-        should tear the pool down (and count the crash) — the rest find
-        ``self._executor`` already pointing elsewhere.
-        """
-        if self._executor is broken:
-            self._worker_crashes += 1
-            broken.shutdown(wait=False)
-            self._executor = None
 
     def _in_flight_semaphore(self) -> asyncio.Semaphore:
         # Semaphores bind to the running loop; recreate when the engine
@@ -311,85 +254,24 @@ class AsyncSolveEngine:
             self._semaphore_loop = loop
         return self._semaphore
 
-    def _ensure_member_channel(self) -> Any:
-        """The shared Manager queue process workers stream events onto.
-
-        A Manager queue (not a bare ``multiprocessing.Queue``) because
-        its proxy pickles through the executor's normal argument path
-        under any start method.  One drainer thread per engine blocks on
-        the queue and hops each event onto the owning stream's asyncio
-        queue via ``call_soon_threadsafe``.
-        """
-        if self._member_events is None:
-            self._manager = self._process_context().Manager()
-            self._member_events = self._manager.Queue()
-            self._drainer = threading.Thread(
-                target=self._drain_member_events,
-                name="solve-engine-member-events",
-                daemon=True,
-            )
-            self._drainer.start()
-        return self._member_events
-
-    def _drain_member_events(self) -> None:
-        assert self._member_events is not None
-        while True:
-            try:
-                item = self._member_events.get()
-            except (EOFError, OSError):
-                return  # manager torn down under us
-            if item is None:
-                return  # close() sentinel
-            kind, tag, payload = item
-            sink = self._sinks.get(tag)
-            if sink is None:
-                continue  # stream abandoned; drop the orphan event
-            loop, queue, case_id, eof = sink
-            try:
-                if kind == "member":
-                    loop.call_soon_threadsafe(
-                        queue.put_nowait,
-                        _member_event(case_id, outcome_from_dict(payload)),
-                    )
-                elif kind == "eof":
-                    loop.call_soon_threadsafe(eof.set)
-            except RuntimeError:
-                continue  # the stream's loop already closed
-
     def prewarm(self) -> None:
-        """Start workers (and the member-event channel) right now.
+        """Start every worker process of the process executor now.
 
         Long-lived fronts call this before accepting traffic so the
-        first request doesn't pay process-spawn latency.  A no-op for
+        first request doesn't pay worker start-up latency.  A no-op for
         the thread executor beyond creating the pool object.
         """
-        executor = self._ensure_executor()
-        if self.executor_kind != "process":
-            return
-        self._ensure_member_channel()
-        # Each probe sleeps just long enough that the pool can't serve
-        # them all from one worker, forcing the full complement up.
-        probes = [
-            executor.submit(_prewarm_probe) for _ in range(self.workers)
-        ]
-        concurrent.futures.wait(probes, timeout=60)
+        self._ensure_executor()
+        if self._pool is not None:
+            self._pool.prewarm()
 
     def close(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._member_events is not None:
-            try:
-                self._member_events.put(None)
-            except (EOFError, OSError):
-                pass
-            if self._drainer is not None:
-                self._drainer.join(timeout=5)
-            self._member_events = None
-            self._drainer = None
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
 
     async def __aenter__(self) -> "AsyncSolveEngine":
         return self
@@ -673,11 +555,10 @@ class AsyncSolveEngine:
     ) -> Tuple[PortfolioResult, bool]:
         """Solve one instance; returns ``(result, was_retried)``.
 
-        ``was_retried`` is True when the first dispatch's worker died
-        (``BrokenProcessPool``) and the instance was re-solved on a
-        fresh pool — the result content is still deterministic (the
-        per-case seed makes the retry byte-identical), only the status
-        mark differs.
+        ``was_retried`` is True when the worker process solving the
+        instance died and the pool re-solved it on a respawned worker —
+        the result content is still deterministic (the per-case seed
+        makes the retry byte-identical), only the status mark differs.
         """
         loop = asyncio.get_running_loop()
         case_id = item.case_id
@@ -687,12 +568,16 @@ class AsyncSolveEngine:
         seed = instance_seed(options.seed, case_id)
         executor = self._ensure_executor()
 
-        if self.executor_kind == "process":
-            # Cross-process: the batch worker payload plus a Manager
-            # queue for live member events.  Mid-run cancellation still
-            # doesn't cross the pickle boundary (cancel applies up to
-            # the start); member events do, routed by a per-solve tag so
-            # concurrent streams reusing case ids cannot cross wires.
+        def on_member(outcome: MemberOutcome) -> None:
+            # Called from the solver thread; hop back onto the loop.
+            loop.call_soon_threadsafe(
+                queue.put_nowait, _member_event(case_id, outcome)
+            )
+
+        if self._pool is not None:
+            pool = self._pool
+            # The batch worker payload; a cancel applies only up to the
+            # start, since cancel flags do not cross into the worker.
             payload = (
                 case_id,
                 item.matrix.row_masks,
@@ -704,63 +589,30 @@ class AsyncSolveEngine:
                 options.stop_when_optimal,
                 options.race,
             )
-            events = self._ensure_member_channel()
-            for attempt in range(2):
-                tag = f"solve-{next(self._sink_tags)}"
-                eof = asyncio.Event()
-                self._sinks[tag] = (loop, queue, case_id, eof)
-                try:
-                    _, result_dict = await loop.run_in_executor(
-                        executor,
-                        _solve_payload_streaming,
-                        payload,
-                        events,
-                        tag,
-                    )
-                    # The worker posts its eof marker before returning,
-                    # but the drainer thread delivers asynchronously:
-                    # wait for it so every member event precedes the
-                    # terminal event.  A worker that died without the
-                    # marker (pool crash) must not wedge the stream —
-                    # bounded wait, then go on.
-                    try:
-                        await asyncio.wait_for(eof.wait(), timeout=10.0)
-                    except asyncio.TimeoutError:
-                        pass
-                    return result_from_dict(result_dict), attempt > 0
-                except concurrent.futures.process.BrokenProcessPool:
-                    # Worker death poisons the whole pool: retire it,
-                    # disarm the injected kill (so a chaos retry can't
-                    # crash-loop), announce the crash, and re-dispatch
-                    # this case once on a fresh pool.
-                    self._respawn_executor(executor)
-                    faults.disarm("kill_worker_on_case")
-                    await queue.put(
-                        SolveEvent(
-                            kind=WORKER_CRASHED,
-                            case_id=case_id,
-                            error=(
-                                "process pool worker died"
-                                f" (dispatch {attempt + 1})"
-                            ),
-                        )
-                    )
-                    if attempt:
-                        raise SolverError(
-                            f"case {case_id!r} crashed the worker pool "
-                            "twice; giving up (likely a poison-pill "
-                            "instance)"
-                        )
-                    executor = self._ensure_executor()
-                finally:
-                    self._sinks.pop(tag, None)
-            raise AssertionError("unreachable: retry loop exits above")
 
-        def on_member(outcome: MemberOutcome) -> None:
-            # Called from the solver thread; hop back onto the loop.
-            loop.call_soon_threadsafe(
-                queue.put_nowait, _member_event(case_id, outcome)
+            def announce_crash(dispatch: int) -> None:
+                self._worker_crashes += 1
+                queue.put_nowait(
+                    SolveEvent(
+                        kind=WORKER_CRASHED,
+                        case_id=case_id,
+                        error=f"pool worker died (dispatch {dispatch})",
+                    )
+                )
+
+            def on_crash(event: Dict[str, Any]) -> None:
+                # Called from the solver thread, like on_member.
+                loop.call_soon_threadsafe(announce_crash, event["dispatches"])
+
+            def solve_on_pool() -> Tuple[Dict[str, Any], bool]:
+                return pool.solve(
+                    payload, on_member=on_member, on_crash=on_crash
+                )
+
+            result_dict, was_retried = await loop.run_in_executor(
+                executor, solve_on_pool
             )
+            return result_from_dict(result_dict), was_retried
 
         def solve() -> PortfolioResult:
             return solve_portfolio(

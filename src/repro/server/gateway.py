@@ -20,8 +20,8 @@ of a connection)::
 Solve responses stream one line per event (``queued`` / ``started`` /
 ``member_finished`` / ``done`` / ``cancelled`` / ``failed``) and close
 with ``{"event": "batch_done", ...}``.  ``member_finished`` events
-stream for *both* executors — the process pool forwards them over a
-manager queue (see :mod:`repro.server.engine`).
+stream for *both* executors — a pool worker sends them back over its
+pipe as they land (see :mod:`repro.service.pool`).
 
 Single-line ops: ``ping``, ``stats`` (engine + server counters),
 ``metrics`` (queue depth, connections, per-tenant usage, cache hit

@@ -1,11 +1,13 @@
 """Portfolio solver service: batched, parallel, cached EBMF solving.
 
 The layer between the solver library and traffic: per-instance solver
-races with provenance (:mod:`portfolio`), batch fan-out over a process
-pool (:mod:`batch`), a content-addressed result cache (:mod:`cache`),
-shared wall-clock accounting (:mod:`budget`), the solver-config schema
-version that keys caches and baselines (:mod:`schema`), and per-solver
-win accounting shared with the server metrics ops (:mod:`stats`).
+races with provenance (:mod:`portfolio`; the concurrent exact-backend
+race is :mod:`racing`), batch fan-out (:mod:`batch`) over the one
+crash-isolating worker pool (:mod:`pool`), a content-addressed result
+cache (:mod:`cache`), shared wall-clock accounting (:mod:`budget`), the
+solver-config schema version that keys caches and baselines
+(:mod:`schema`), and per-solver win accounting shared with the server
+metrics ops (:mod:`stats`).
 """
 
 from repro.service.batch import (

@@ -1,4 +1,4 @@
-"""Batched portfolio solving over a process pool.
+"""Batched portfolio solving over a worker pool.
 
 ``solve_batch`` fans a list of instances across ``workers`` processes,
 checking the result cache first and writing fresh results back.  Every
@@ -7,14 +7,11 @@ instance gets a root seed derived from the batch seed and its own
 up — so a batch produces identical provenance for any pool size,
 including the in-process ``workers=1`` path.
 
-Workers exchange plain picklable payloads (row masks in, result dicts
-out) rather than live objects, which keeps the pool start-method
-agnostic and the records trivially JSON-able.
-
-Each worker slot is its own single-process executor (a bulkhead): when
-a worker dies — OOM kill, segfaulting native dep, fault injection —
-only the case that worker was solving is lost.  The slot is respawned,
-the lost case re-dispatched, and its record marked
+With ``workers > 1`` the misses are solved on a
+:class:`repro.service.pool.WorkerPool`, driven from one thread per
+slot.  When a worker dies — OOM kill, segfaulting native dep, fault
+injection — only the case that worker was solving is lost: the pool
+respawns the slot and re-dispatches the case, whose record comes back
 ``status="retried"``; every other case's provenance is untouched.  A
 case that kills its worker twice is a poison pill and fails the batch
 with a :class:`SolverError` naming it.
@@ -23,11 +20,10 @@ with a :class:`SolverError` naming it.
 from __future__ import annotations
 
 import concurrent.futures
-from collections import deque
+import functools
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     Optional,
@@ -42,14 +38,13 @@ from repro.core.exceptions import SolverError
 from repro.service import faults
 from repro.service.budget import BudgetLike, PortfolioBudget
 from repro.service.cache import ResultCache, matrix_key
+from repro.service.pool import FaultCallback, WorkerPool, solve_payload
 from repro.service.schema import SOLVER_SCHEMA_VERSION
 from repro.service.portfolio import (
     DEFAULT_PORTFOLIO,
     RACE_MODES,
     PortfolioResult,
     result_from_dict,
-    result_to_dict,
-    solve_portfolio,
     validate_members,
 )
 from repro.utils.rng import spawn_seeds
@@ -146,12 +141,6 @@ def solve_context(
 STATUS_OK = "ok"
 STATUS_RETRIED = "retried"
 
-WORKER_CRASHED = "worker_crashed"
-"""Structured fault-event kind emitted when an executor worker dies."""
-
-FaultCallback = Callable[[Dict[str, Any]], None]
-"""Hook invoked with each structured fault event (``worker_crashed``)."""
-
 
 @dataclass
 class BatchRecord:
@@ -189,202 +178,6 @@ class BatchRecord:
 
 
 # ----------------------------------------------------------------------
-# Worker side (must be module-level for pickling)
-# ----------------------------------------------------------------------
-def _solve_payload(
-    payload: Tuple[
-        str,  # case_id
-        Tuple[int, ...],  # row masks
-        int,  # num_cols
-        Tuple[str, ...],  # members
-        Optional[int],  # instance seed
-        Optional[float],  # per-instance budget (seconds)
-        Optional[float],  # per-member budget (seconds)
-        bool,  # stop_when_optimal
-        str,  # race mode
-    ],
-    on_member: Optional[Any] = None,
-) -> Tuple[str, Dict[str, Any]]:
-    (
-        case_id,
-        row_masks,
-        num_cols,
-        members,
-        seed,
-        total,
-        per_member,
-        stop,
-        race,
-    ) = payload
-    # Fault seams: no-ops unless a FaultPlan is installed (chaos tests).
-    faults.maybe_kill_worker(case_id)
-    faults.delay("worker.solve")
-    matrix = BinaryMatrix(row_masks, num_cols)
-    result = solve_portfolio(
-        matrix,
-        members=members,
-        seed=seed,
-        budget=PortfolioBudget(total, per_member_seconds=per_member),
-        stop_when_optimal=stop,
-        race=race,
-        on_member=on_member,
-    )
-    return case_id, result_to_dict(result)
-
-
-def _solve_payload_streaming(
-    payload: Tuple[Any, ...],
-    events: Any,
-    tag: str,
-) -> Tuple[str, Dict[str, Any]]:
-    """:func:`_solve_payload` plus live member events on a shared queue.
-
-    ``events`` is a ``multiprocessing.Manager`` queue owned by
-    :class:`repro.server.engine.AsyncSolveEngine`; each member outcome
-    is posted as ``("member", tag, outcome_dict)`` the moment it lands,
-    and a final ``("eof", tag, None)`` marker promises the parent that
-    no more member events for this solve are in flight — the engine
-    holds the terminal ``done`` event until it sees the marker, so
-    member events can never arrive after their case's terminal event.
-    ``tag`` (not ``case_id``) routes events, so concurrent streams that
-    reuse case ids cannot cross wires.  Queue failures are swallowed:
-    a parent that went away must not kill a solve already paid for.
-    """
-
-    def on_member(outcome: Any) -> None:
-        try:
-            events.put(("member", tag, outcome.as_dict()))
-        # A vanished parent's queue must not kill a solve already paid
-        # for (see docstring).
-        # repro-lint: disable=REP007 (vanished parent queue)
-        except Exception:
-            pass
-
-    try:
-        return _solve_payload(payload, on_member=on_member)
-    finally:
-        try:
-            events.put(("eof", tag, None))
-        # Same: the parent may be gone; the result still returns
-        # through the executor.
-        # repro-lint: disable=REP007 (vanished parent queue)
-        except Exception:
-            pass
-
-
-# ----------------------------------------------------------------------
-# Crash-recovering dispatch
-# ----------------------------------------------------------------------
-MAX_DISPATCHES_PER_CASE = 2
-"""A case may crash its worker once and be retried; a second crash is
-a poison pill and fails the batch."""
-
-
-def _fresh_slot() -> concurrent.futures.ProcessPoolExecutor:
-    """One bulkhead: a single-worker executor, default (fork) context.
-
-    Single-worker on purpose — ``BrokenProcessPool`` poisons the whole
-    executor it strikes, so one executor per worker slot confines a
-    crash to exactly the case that worker was running instead of
-    failing every in-flight future on a shared pool.
-    """
-    return concurrent.futures.ProcessPoolExecutor(max_workers=1)
-
-
-def _solve_pending_with_recovery(
-    pending: Sequence[Tuple[Any, ...]],
-    workers: int,
-    on_fault: Optional[FaultCallback],
-) -> Tuple[Dict[str, Dict[str, Any]], Set[str]]:
-    """Run payloads over ``workers`` bulkhead slots, surviving crashes.
-
-    Returns ``(case_id -> result dict, case_ids retried)``.  A dead
-    worker (kill -9, OOM, fault injection) is detected as
-    ``BrokenProcessPool`` on its slot; the slot is respawned, the lost
-    payload re-queued, and a structured ``worker_crashed`` event handed
-    to ``on_fault``.  Ordinary solver exceptions propagate unchanged —
-    they are bugs to surface, not infrastructure faults to absorb.
-    """
-    results: Dict[str, Dict[str, Any]] = {}
-    retried: Set[str] = set()
-    queue: "deque[Tuple[Any, ...]]" = deque(pending)
-    slot_count = min(workers, len(pending))
-    slots: List[concurrent.futures.ProcessPoolExecutor] = [
-        _fresh_slot() for _ in range(slot_count)
-    ]
-    busy = [False] * slot_count
-    in_flight: Dict[
-        concurrent.futures.Future, Tuple[int, Tuple[Any, ...]]
-    ] = {}
-    dispatches: Dict[str, int] = {}
-
-    def top_up() -> None:
-        for index in range(slot_count):
-            if not busy[index] and queue:
-                payload = queue.popleft()
-                dispatches[payload[0]] = dispatches.get(payload[0], 0) + 1
-                in_flight[slots[index].submit(_solve_payload, payload)] = (
-                    index,
-                    payload,
-                )
-                busy[index] = True
-
-    try:
-        top_up()
-        while in_flight:
-            done, _ = concurrent.futures.wait(
-                in_flight, return_when=concurrent.futures.FIRST_COMPLETED
-            )
-            for future in done:
-                index, payload = in_flight.pop(future)
-                busy[index] = False
-                case_id = payload[0]
-                try:
-                    finished_id, result_dict = future.result()
-                except concurrent.futures.process.BrokenProcessPool:
-                    # The worker died under this case.  Respawn the
-                    # slot, disarm any injected one-shot kill so the
-                    # retry cannot die the same way, and re-dispatch.
-                    slots[index].shutdown(wait=False)
-                    slots[index] = _fresh_slot()
-                    faults.disarm("kill_worker_on_case")
-                    event = {
-                        "event": WORKER_CRASHED,
-                        "case_id": case_id,
-                        "dispatches": dispatches[case_id],
-                        "will_retry": (
-                            dispatches[case_id] < MAX_DISPATCHES_PER_CASE
-                        ),
-                    }
-                    if on_fault is not None:
-                        on_fault(event)
-                    if not event["will_retry"]:
-                        raise SolverError(
-                            f"case {case_id!r} crashed its worker "
-                            f"{dispatches[case_id]} times; giving up on "
-                            "the batch (poison instance?)"
-                        )
-                    retried.add(case_id)
-                    # Re-dispatch on the *respawned* slot, not the queue:
-                    # sibling slots hold workers forked while the kill
-                    # plan was still armed (fork children never see the
-                    # parent's disarm), so only the fresh worker is
-                    # guaranteed not to die on this case again.
-                    dispatches[case_id] += 1
-                    in_flight[
-                        slots[index].submit(_solve_payload, payload)
-                    ] = (index, payload)
-                    busy[index] = True
-                else:
-                    results[finished_id] = result_dict
-            top_up()
-    finally:
-        for slot in slots:
-            slot.shutdown(wait=False)
-    return results, retried
-
-
-# ----------------------------------------------------------------------
 def solve_batch(
     cases: Sequence[CaseLike],
     *,
@@ -401,14 +194,14 @@ def solve_batch(
     """Solve every case with the portfolio, in input order.
 
     Cached instances are answered without touching the pool; misses are
-    solved (in-process for ``workers=1``, otherwise over per-worker
-    bulkhead process executors) and written back, and the cache's disk
-    tier is flushed once at the end.  Records come back in input order
-    regardless of completion order.  ``budget_per_instance`` caps one
-    instance's whole race, ``budget_per_member`` one solver within it;
-    ``race="concurrent"`` turns each instance's exact-backend slice
-    into a cancel-the-losers thread race (see
-    :mod:`repro.server.racing`).
+    solved (in-process for ``workers=1``, otherwise on a
+    :class:`~repro.service.pool.WorkerPool`) and written back, and the
+    cache's disk tier is flushed once at the end.  Records come back in
+    input order regardless of completion order.  ``budget_per_instance``
+    caps one instance's whole race, ``budget_per_member`` one solver
+    within it; ``race="concurrent"`` turns each instance's exact-backend
+    slice into a cancel-the-losers thread race (see
+    :mod:`repro.service.racing`).
 
     Worker death does not sink the batch: the lost case is re-solved on
     a respawned worker and its record comes back ``status="retried"``
@@ -477,15 +270,22 @@ def solve_batch(
     if pending:
         faults.resolve_kill_case([payload[0] for payload in pending])
         if workers == 1 or len(pending) == 1:
-            solved = [_solve_payload(payload) for payload in pending]
-            for case_id, payload in solved:
-                results[case_id] = result_from_dict(payload)
+            for payload in pending:
+                results[payload[0]] = result_from_dict(solve_payload(payload))
         else:
-            solved_map, retried = _solve_pending_with_recovery(
-                pending, workers, on_fault
-            )
-            for case_id, payload in solved_map.items():
-                results[case_id] = result_from_dict(payload)
+            slots = min(workers, len(pending))
+            with WorkerPool(slots) as pool:
+                with concurrent.futures.ThreadPoolExecutor(slots) as threads:
+                    solved = list(
+                        threads.map(
+                            functools.partial(pool.solve, on_crash=on_fault),
+                            pending,
+                        )
+                    )
+            for payload, (result, was_retried) in zip(pending, solved):
+                results[payload[0]] = result_from_dict(result)
+                if was_retried:
+                    retried.add(payload[0])
 
     if cache is not None:
         for item in items:

@@ -4,7 +4,7 @@ Production resilience claims are worthless untested: "survives worker
 death" means nothing until a test actually kills a worker mid-batch and
 watches the batch finish.  This module is the one switchboard those
 tests flip.  A :class:`FaultPlan` names the faults to inject; the
-serving layers (:mod:`repro.service.batch`,
+serving layers (:mod:`repro.service.batch`, :mod:`repro.service.pool`,
 :mod:`repro.server.engine`, :mod:`repro.server.shards`,
 :mod:`repro.server.gateway`) call the tiny seam functions below at
 their failure-relevant points, and the seams fire only while a plan is
@@ -19,15 +19,17 @@ overhead line).  Plans install three ways:
 * :func:`injected` — a context manager that restores the previous plan
   (what the chaos tests use);
 * the ``REPRO_FAULTS`` environment variable — a JSON object of plan
-  fields, parsed lazily on first seam check in each process.  Because
-  :func:`install` mirrors the plan into ``os.environ``, spawned
-  executor workers (which share no globals with the parent) see the
-  same plan; forked workers inherit the parent's global directly.
+  fields, parsed lazily on first seam check in each process; this is
+  how a plan reaches a subprocess run (``python -m repro cache gc``
+  under the chaos suite).
 
-One-shot faults (worker kill, shard corruption) are *disarmed* by the
-recovery path that handles them (:func:`disarm` rewrites both the
-global and the env mirror), so a respawned worker does not die again on
-the retried case — recovery tests terminate instead of crash-looping.
+Pool workers share no globals with their caller, so the installed plan
+travels with every dispatch (:class:`repro.service.pool.WorkerPool`
+sends :func:`active` along with each case, and the worker installs it
+before solving).  One-shot faults (worker kill, shard corruption) are
+*disarmed* by the recovery path that handles them, so a respawned
+worker does not die again on the retried case — recovery tests
+terminate instead of crash-looping.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Any, Dict, Iterator, Optional, Sequence, Union
 from repro.core.exceptions import SolverError
 
 FAULTS_ENV = "REPRO_FAULTS"
-"""Environment mirror of the installed plan (crosses spawn boundaries)."""
+"""Environment variable a process reads its initial plan from."""
 
 WORKER_KILL_EXIT_CODE = 87
 """Exit status of a fault-killed worker (distinctive in pool autopsies)."""
@@ -55,7 +57,7 @@ class FaultPlan:
 
     ``kill_worker_on_case`` names one batch case — by id, or by index
     into the submitted batch (resolved to an id by
-    :func:`resolve_kill_case` before dispatch) — whose executor worker
+    :func:`resolve_kill_case` before dispatch) — whose pool worker
     ``os._exit`` s mid-solve.  ``corrupt_shard_on_write`` truncates the
     next cache shard written, leaving a torn JSON file on disk.
     ``drop_connection_after_events`` makes a server front abort each
@@ -83,17 +85,6 @@ class FaultPlan:
     crash_gc_at: Optional[str] = None
     corrupt_index_on_write: bool = False
     ttl_skew_seconds: float = 0.0
-
-    def enabled(self) -> bool:
-        return (
-            self.kill_worker_on_case is not None
-            or self.corrupt_shard_on_write
-            or self.drop_connection_after_events is not None
-            or self.delay_seconds > 0.0
-            or self.crash_gc_at is not None
-            or self.corrupt_index_on_write
-            or self.ttl_skew_seconds != 0.0
-        )
 
     def as_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {}
@@ -126,32 +117,22 @@ _PLAN: Optional[FaultPlan] = None
 _ENV_LOADED = False
 
 
-def _sync_env(plan: Optional[FaultPlan]) -> None:
-    """Mirror the plan into ``os.environ`` for spawn-started workers."""
-    if plan is None or not plan.enabled():
-        os.environ.pop(FAULTS_ENV, None)
-    else:
-        os.environ[FAULTS_ENV] = json.dumps(plan.as_dict(), sort_keys=True)
-
-
 def install(plan: FaultPlan) -> None:
-    """Install ``plan`` process-wide (and mirror it into the env)."""
+    """Install ``plan`` process-wide."""
     global _PLAN, _ENV_LOADED
     _PLAN = plan
     _ENV_LOADED = True
-    _sync_env(plan)
 
 
 def clear() -> None:
-    """Remove any installed plan (and its env mirror)."""
+    """Remove any installed plan."""
     global _PLAN, _ENV_LOADED
     _PLAN = None
     _ENV_LOADED = True
-    _sync_env(None)
 
 
 def active() -> Optional[FaultPlan]:
-    """The installed plan, loading the env mirror once per process."""
+    """The installed plan, reading ``REPRO_FAULTS`` once per process."""
     global _PLAN, _ENV_LOADED
     if _PLAN is None and not _ENV_LOADED:
         _ENV_LOADED = True
@@ -215,7 +196,7 @@ def resolve_kill_case(case_ids: Sequence[str]) -> None:
 def maybe_kill_worker(case_id: str) -> None:
     """Die abruptly (``os._exit``) if the plan targets this case.
 
-    Fires only inside executor *worker* processes — the in-process
+    Fires only inside pool *worker* processes — the in-process
     ``workers=1`` path must never take down the caller itself.
     """
     plan = active()

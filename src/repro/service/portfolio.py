@@ -37,6 +37,7 @@ from repro.core.partition import Partition
 from repro.io import partition_from_dict, partition_to_dict
 from repro.sat.solver import SolveStatus
 from repro.service.budget import BudgetLike, PortfolioBudget
+from repro.service.racing import race_members
 from repro.solvers.branch_bound import binary_rank_branch_bound
 from repro.solvers.registry import make_heuristic
 from repro.solvers.sap import SapOptions, sap_solve
@@ -55,7 +56,7 @@ CERTIFIED_BY_RANK = "rank-bound"
 RACE_MODES = ("sequential", "concurrent")
 """``sequential`` runs members one after another (the paper's recipe);
 ``concurrent`` races the exact backends in threads and cancels losers —
-see :mod:`repro.server.racing`."""
+see :mod:`repro.service.racing`."""
 
 RESULT_FORMAT_VERSION = 1
 
@@ -192,7 +193,7 @@ class PortfolioResult:
         that list heuristics before the exact backends this projection
         is byte-identical between ``race="sequential"`` and
         ``race="concurrent"`` — the regression contract of
-        :mod:`repro.server.racing`.  Per-member records are excluded:
+        :mod:`repro.service.racing`.  Per-member records are excluded:
         a cancelled loser legitimately looks different from a skipped
         one.
         """
@@ -504,8 +505,6 @@ def _run_concurrent(
     portfolio does) the winner/optimality provenance is identical to
     sequential mode.
     """
-    from repro.server.racing import race_members
-
     exact_names = [name for name in members if is_exact_member(name)]
     heuristic_names = [
         name for name in members if not is_exact_member(name)
@@ -573,7 +572,7 @@ def solve_portfolio(
     With ``race="sequential"`` members run in the given order, each with
     a slice of the shared ``budget``; with ``race="concurrent"`` the
     exact backends run as a thread race and losers are cancelled (see
-    :mod:`repro.server.racing`).  Every member gets a seed derived
+    :mod:`repro.service.racing`).  Every member gets a seed derived
     deterministically from ``seed`` and its own name (so results do not
     depend on member order or on how instances are distributed over
     batch workers).  With ``stop_when_optimal`` the race short-circuits

@@ -341,6 +341,33 @@ class TestRep004SpawnSafety:
         )
         assert rule_ids(lint(root, rules="REP004")) == ["REP004"]
 
+    def test_process_target_flagged(self, make_project, lint):
+        root = make_project(
+            {
+                "src/repro/service/foo.py": """
+                import multiprocessing
+
+                def worker_main(conn):
+                    conn.close()
+
+                def start(conn):
+                    def run():
+                        worker_main(conn)
+
+                    ctx = multiprocessing.get_context("forkserver")
+                    ok = ctx.Process(target=worker_main, args=(conn,))
+                    nested = ctx.Process(target=run)
+                    bare = multiprocessing.Process(target=lambda: None)
+                    return ok, nested, bare
+                """
+            }
+        )
+        report = lint(root, rules="REP004")
+        assert rule_ids(report) == ["REP004", "REP004"]
+        messages = sorted(finding.message for finding in report.findings)
+        assert "lambda passed to Process(target=...)" in messages[0]
+        assert "nested function 'run'" in messages[1]
+
 
 class TestRep005SortedJson:
     def test_missing_sort_keys_flagged(self, make_project, lint):

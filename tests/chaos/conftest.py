@@ -5,7 +5,7 @@ asserts the serving stack *recovers* — so a regression tends to look
 like a hang (a batch waiting on a dead worker, a client retrying
 forever), not a failure.  The SIGALRM fixture converts those hangs into
 loud timeouts, and the hygiene fixture guarantees no fault plan leaks
-into later tests (or, via the env mirror, into later processes).
+into later tests.
 """
 
 import signal

@@ -1,18 +1,23 @@
 """Worker death mid-batch: the batch finishes, results are identical.
 
-The acceptance contract (ISSUE 8): with
-``FaultPlan(kill_worker_on_case=n)`` a 20-case ``solve_batch`` still
-returns 20 results — 19 byte-identical to a fault-free run and exactly
-one marked ``retried`` (itself byte-identical in *content*; only the
-status differs).  The engine variant is weaker by design: its shared
-process pool means a crash can poison collateral in-flight cases, so
-the assertion there is "every lost case retried, every result
-byte-identical", not "exactly one".
+The acceptance contract: with ``FaultPlan(kill_worker_on_case=n)`` a
+20-case ``solve_batch`` still returns 20 results — 19 byte-identical to
+a fault-free run and exactly one marked ``retried`` (itself
+byte-identical in *content*; only the status differs).  The engine's
+process executor solves on the same worker pool, so it is held to the
+same contract: one ``worker_crashed`` event, one retried case.  A case
+that kills its worker twice is a poison pill on both paths.
 """
 
+import multiprocessing
+
+import pytest
+
 from repro.benchgen.random_matrices import random_matrix
+from repro.core.exceptions import SolverError
 from repro.server.engine import (
     DONE,
+    FAILED,
     WORKER_CRASHED,
     AsyncSolveEngine,
 )
@@ -22,6 +27,7 @@ from repro.service.batch import (
     STATUS_RETRIED,
     solve_batch,
 )
+
 MEMBERS = ("trivial", "packing:2")
 
 
@@ -95,48 +101,104 @@ class TestBatchWorkerCrash:
         assert all(r.status == STATUS_OK for r in records)
 
 
+def _process_engine():
+    return AsyncSolveEngine(
+        members=MEMBERS, seed=7, workers=2, executor="process"
+    )
+
+
+async def _baseline(cases):
+    async with _process_engine() as engine:
+        return {
+            event.case_id: _content(event.record.result)
+            async for event in engine.stream(cases)
+            if event.kind == DONE
+        }
+
+
+def _assert_one_crash_on_c03(events, stats, baseline):
+    crashes = [e for e in events if e.kind == WORKER_CRASHED]
+    assert [e.case_id for e in crashes] == ["c03"]
+    done = [e for e in events if e.kind == DONE]
+    assert {e.case_id for e in done} == set(baseline)
+    assert [e.case_id for e in done if e.retried] == ["c03"]
+    assert stats["worker_crashes"] == 1
+    for event in done:
+        assert (
+            _content(event.record.result) == baseline[event.case_id]
+        ), event.case_id
+
+
 class TestEngineWorkerCrash:
     async def test_process_pool_crash_recovers_all_cases(self):
-        """A poisoned shared pool may cost several in-flight cases; all
-        of them must come back, byte-identical, after one respawn."""
+        """One slot dies: its case alone is retried, byte-identical."""
         cases = _cases(6)
-
-        async with AsyncSolveEngine(
-            members=MEMBERS, seed=7, workers=2, executor="process"
-        ) as engine:
-            baseline = {}
-            async for event in engine.stream(cases):
-                if event.kind == DONE:
-                    baseline[event.case_id] = _content(event.record.result)
+        baseline = await _baseline(cases)
         assert len(baseline) == 6
 
-        # The plan must be live before the executor spawns: spawned
-        # workers read the env mirror once, at first seam check.
         with faults.injected(faults.FaultPlan(kill_worker_on_case=3)):
-            async with AsyncSolveEngine(
-                members=MEMBERS, seed=7, workers=2, executor="process"
-            ) as engine:
-                events = []
-                async for event in engine.stream(cases):
-                    events.append(event)
+            async with _process_engine() as engine:
+                events = [event async for event in engine.stream(cases)]
                 stats = engine.stats()
+        _assert_one_crash_on_c03(events, stats, baseline)
+
+    async def test_plan_installed_after_prewarm_still_fires(self):
+        """Workers already running get the plan with each dispatch."""
+        cases = _cases(6)
+        baseline = await _baseline(cases)
+
+        async with _process_engine() as engine:
+            engine.prewarm()
+            with faults.injected(faults.FaultPlan(kill_worker_on_case=3)):
+                events = [event async for event in engine.stream(cases)]
+            stats = engine.stats()
+        _assert_one_crash_on_c03(events, stats, baseline)
+
+
+class TestPoisonPill:
+    """A case that kills its worker on every dispatch fails, alone."""
+
+    @pytest.fixture(autouse=True)
+    def _kill_stays_armed(self, monkeypatch):
+        # Recovery disarms the one-shot kill in the parent, and the next
+        # dispatch carries the disarmed plan; keep it armed instead.
+        monkeypatch.setattr(faults, "disarm", lambda field_name: None)
+        yield
+        assert multiprocessing.active_children() == []
+
+    def test_batch_raises_naming_the_case(self):
+        crashes = []
+        with faults.injected(faults.FaultPlan(kill_worker_on_case="c03")):
+            with pytest.raises(SolverError, match="'c03'"):
+                solve_batch(
+                    _cases(6),
+                    members=MEMBERS,
+                    seed=7,
+                    workers=2,
+                    on_fault=crashes.append,
+                )
+        assert [(e["case_id"], e["will_retry"]) for e in crashes] == [
+            ("c03", True),
+            ("c03", False),
+        ]
+
+    async def test_engine_fails_the_case_and_ends_the_stream(self):
+        cases = _cases(6)
+        with faults.injected(faults.FaultPlan(kill_worker_on_case="c03")):
+            async with _process_engine() as engine:
+                events = [event async for event in engine.stream(cases)]
+                stats = engine.stats()
+            assert multiprocessing.active_children() == []
 
         crashes = [e for e in events if e.kind == WORKER_CRASHED]
-        assert crashes, "no worker_crashed event surfaced"
-        done = [e for e in events if e.kind == DONE]
-        assert {e.case_id for e in done} == {c for c, _ in cases}
-
-        # The killed case is always among the retried; a shared pool may
-        # add collateral (all futures in flight when it broke).
-        retried = {e.case_id for e in done if e.retried}
-        assert "c03" in retried
-        assert retried == {e.case_id for e in crashes}
-        assert stats["worker_crashes"] == 1
-
-        for event in done:
-            assert (
-                _content(event.record.result) == baseline[event.case_id]
-            ), event.case_id
+        assert [e.case_id for e in crashes] == ["c03", "c03"]
+        terminal = sorted((e.case_id, e.kind) for e in events if e.terminal)
+        assert terminal == [
+            (case_id, FAILED if case_id == "c03" else DONE)
+            for case_id, _ in cases
+        ]
+        assert stats["worker_crashes"] == 2
+        assert stats["failed"] == 1
 
 
 class TestDelaySeam:

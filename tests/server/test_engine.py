@@ -276,7 +276,7 @@ class TestCancellation:
     def test_cancellation_affected_policy(self):
         """Late cancels keep complete results; true aborts drop them."""
         from repro.server.engine import cancellation_affected
-        from repro.server.racing import RaceToken
+        from repro.service.racing import RaceToken
         from repro.service.portfolio import solve_portfolio
 
         # Untouched solve: complete, must be kept (cached / done).

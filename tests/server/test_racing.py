@@ -18,7 +18,7 @@ from repro.core.paper_matrices import (
     figure_3,
     section_2_nonbinary_example,
 )
-from repro.server.racing import RaceToken, race_members
+from repro.service.racing import RaceToken, race_members
 from repro.service.portfolio import member_seed, solve_portfolio
 from tests.conftest import SERVICE_SEED
 
