@@ -18,6 +18,23 @@ Implemented techniques (MiniSat lineage):
 
 Literals follow the DIMACS convention externally (``+v`` / ``-v``);
 internally a literal is ``v << 1 | sign`` with ``sign = 1`` for negation.
+
+The hot paths are written for CPython's interpreter:
+
+* assignments live in a value array indexed by literal (``+1`` true,
+  ``-1`` false, ``0`` unassigned), so reading a literal's value is one
+  list index with no call and no sign flip;
+* ``_propagate`` binds the solver's lists to locals, compacts each watch
+  list in place (the watchers that stay keep their order) instead of
+  building a new list per propagated literal, and adds to the
+  propagation counter once per call;
+* ``_analyze`` bumps the activities of all the variables it marked in
+  one pass at the end, in marking order.
+
+These keep the search itself unchanged: every watch list keeps its
+order, every heap push its key, and restarts and learned-clause
+reductions their schedule (``tests/sat/test_search_pinned.py`` pins the
+counters of fixed solves).
 """
 
 from __future__ import annotations
@@ -77,9 +94,6 @@ def luby(base: int, index: int) -> int:
     return base * (2**sequence)
 
 
-_UNASSIGNED = 0
-
-
 class CdclSolver:
     """Conflict-driven clause-learning SAT solver.
 
@@ -107,16 +121,17 @@ class CdclSolver:
         self._num_vars = 0
         self._ok = True  # False once a top-level conflict is derived
 
+        # Per-literal state (index lit = v<<1 | sign; variable 0 unused):
+        # +1 true, -1 false, 0 unassigned, and the watch lists.
+        self._values: List[int] = [0, 0]
+        self._watches: List[List[List[int]]] = [[], []]
+
         # Per-variable state (index 0 unused).
-        self._assigns: List[int] = [0]  # +1 true, -1 false, 0 unassigned
         self._levels: List[int] = [0]
         self._reasons: List[Optional[List[int]]] = [None]
         self._activity: List[float] = [0.0]
         self._phase: List[bool] = [False]
         self._seen: List[bool] = [False]
-
-        # Per-literal watch lists (index lit = v<<1 | sign).
-        self._watches: List[List[List[int]]] = [[], []]
 
         self._clauses: List[List[int]] = []
         self._learned: List[List[int]] = []
@@ -151,14 +166,15 @@ class CdclSolver:
 
     def new_var(self) -> int:
         self._num_vars += 1
-        self._assigns.append(0)
+        self._values.append(0)
+        self._values.append(0)
+        self._watches.append([])
+        self._watches.append([])
         self._levels.append(0)
         self._reasons.append(None)
         self._activity.append(0.0)
         self._phase.append(False)
         self._seen.append(False)
-        self._watches.append([])
-        self._watches.append([])
         heapq.heappush(self._heap, (0.0, self._num_vars))
         return self._num_vars
 
@@ -175,10 +191,6 @@ class CdclSolver:
     def _to_external(ilit: int) -> int:
         var = ilit >> 1
         return -var if ilit & 1 else var
-
-    def _lit_value(self, ilit: int) -> int:
-        value = self._assigns[ilit >> 1]
-        return -value if ilit & 1 else value
 
     def add_clause(self, literals: Sequence[int]) -> bool:
         """Add a clause (external literals).  Only legal at decision level
@@ -203,7 +215,7 @@ class CdclSolver:
                 break
             if ilit in seen_lits:
                 continue
-            value = self._lit_value(ilit)
+            value = self._values[ilit]
             if value > 0:
                 tautology = True  # already satisfied at level 0
                 break
@@ -238,14 +250,12 @@ class CdclSolver:
     # ------------------------------------------------------------------
     # Assignment trail
     # ------------------------------------------------------------------
-    @property
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _enqueue(self, ilit: int, reason: Optional[List[int]]) -> None:
+        values = self._values
+        values[ilit] = 1
+        values[ilit ^ 1] = -1
         var = ilit >> 1
-        self._assigns[var] = -1 if ilit & 1 else 1
-        self._levels[var] = self._decision_level
+        self._levels[var] = len(self._trail_lim)
         self._reasons[var] = reason
         self._trail.append(ilit)
 
@@ -253,75 +263,111 @@ class CdclSolver:
         self._trail_lim.append(len(self._trail))
 
     def _backtrack(self, level: int) -> None:
-        if self._decision_level <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        boundary = self._trail_lim[level]
-        for index in range(len(self._trail) - 1, boundary - 1, -1):
-            ilit = self._trail[index]
+        trail = self._trail
+        boundary = trail_lim[level]
+        values = self._values
+        phase = self._phase
+        activity = self._activity
+        heap = self._heap
+        heappush = heapq.heappush
+        # Unassign newest first: the heap sees the pushes in trail order.
+        # A reason left behind is never read: every enqueue rewrites it.
+        for ilit in reversed(trail[boundary:]):
             var = ilit >> 1
-            self._phase[var] = not (ilit & 1)
-            self._assigns[var] = 0
-            self._reasons[var] = None
-            heapq.heappush(self._heap, (-self._activity[var], var))
-        del self._trail[boundary:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+            phase[var] = not (ilit & 1)
+            values[ilit] = 0
+            values[ilit ^ 1] = 0
+            heappush(heap, (-activity[var], var))
+        del trail[boundary:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
 
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
     def _propagate(self) -> Optional[List[int]]:
-        """Unit propagation; returns the conflicting clause or ``None``."""
-        while self._qhead < len(self._trail):
-            ilit = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
-            false_lit = ilit ^ 1
-            watchers = self._watches[false_lit]
-            kept: List[List[int]] = []
-            index = 0
+        """Unit propagation; returns the conflicting clause or ``None``.
+
+        Each watch list is compacted in place: the watchers that stay are
+        moved to the front in their original order and the tail is cut.
+        """
+        trail = self._trail
+        values = self._values
+        watches = self._watches
+        levels = self._levels
+        reasons = self._reasons
+        level = len(self._trail_lim)
+        start = qhead = self._qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watchers = watches[false_lit]
             total = len(watchers)
+            kept = index = 0
             while index < total:
                 clause = watchers[index]
                 index += 1
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                first_value = self._lit_value(first)
-                if first_value > 0:
-                    kept.append(clause)
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                first_value = values[first]
+                if first_value <= 0:
+                    for k in range(2, len(clause)):
+                        lit = clause[k]
+                        if values[lit] >= 0:
+                            clause[1] = lit
+                            clause[k] = false_lit
+                            watches[lit].append(clause)
+                            break
+                    else:
+                        watchers[kept] = clause
+                        kept += 1
+                        if first_value < 0:
+                            # Conflict: retain the untraversed watchers.
+                            del watchers[kept:index]
+                            self._qhead = len(trail)
+                            self.stats.propagations += qhead - start
+                            return clause
+                        var = first >> 1
+                        values[first] = 1
+                        values[first ^ 1] = -1
+                        levels[var] = level
+                        reasons[var] = clause
+                        trail.append(first)
                     continue
-                moved = False
-                for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) >= 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[clause[1]].append(clause)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                kept.append(clause)
-                if first_value < 0:
-                    # Conflict: retain the untraversed watchers.
-                    kept.extend(watchers[index:])
-                    self._watches[false_lit] = kept
-                    self._qhead = len(self._trail)
-                    return clause
-                self._enqueue(first, clause)
-            self._watches[false_lit] = kept
+                watchers[kept] = clause
+                kept += 1
+            del watchers[kept:]
+        self._qhead = qhead
+        self.stats.propagations += qhead - start
         return None
 
     # ------------------------------------------------------------------
     # Conflict analysis
     # ------------------------------------------------------------------
-    def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self._num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        if self._assigns[var] == 0:
-            heapq.heappush(self._heap, (-self._activity[var], var))
+    def _bump_vars(self, variables: Sequence[int]) -> None:
+        """Add the activity increment to each of ``variables``, in order."""
+        activity = self._activity
+        values = self._values
+        var_inc = self._var_inc
+        for var in variables:
+            activity[var] += var_inc
+            if activity[var] > 1e100:
+                self._rescale_var_activity()
+                var_inc = self._var_inc
+            if values[var << 1] == 0:
+                heapq.heappush(self._heap, (-activity[var], var))
+
+    def _rescale_var_activity(self) -> None:
+        activity = self._activity
+        for v in range(1, self._num_vars + 1):
+            activity[v] *= 1e-100
+        self._var_inc *= 1e-100
 
     def _bump_clause(self, clause: List[int]) -> None:
         key = id(clause)
@@ -335,60 +381,61 @@ class CdclSolver:
 
     def _analyze(self, conflict: List[int]) -> tuple:
         """First-UIP analysis.  Returns (learnt_clause, backtrack_level)."""
-        learnt: List[int] = [0]  # slot 0 for the asserting literal
         seen = self._seen
+        levels = self._levels
+        reasons = self._reasons
+        trail = self._trail
+        learnt: List[int] = [0]  # slot 0 for the asserting literal
+        # Every variable marked seen, in marking order; these are also
+        # the variables whose activity the conflict bumps.
         to_clear: List[int] = []
         path_count = 0
-        p: Optional[int] = None
-        index = len(self._trail)
+        index = len(trail)
+        current_level = len(self._trail_lim)
         reason = conflict
-        current_level = self._decision_level
+        start = 0  # a reason's slot 0 is the literal it implied
 
         while True:
             self._bump_clause(reason)
-            start = 0 if p is None else 1
             for q in reason[start:]:
                 var = q >> 1
-                if not seen[var] and self._levels[var] > 0:
-                    seen[var] = True
-                    to_clear.append(var)
-                    self._bump_var(var)
-                    if self._levels[var] >= current_level:
-                        path_count += 1
-                    else:
-                        learnt.append(q)
-            while True:
+                if not seen[var]:
+                    level = levels[var]
+                    if level > 0:
+                        seen[var] = True
+                        to_clear.append(var)
+                        if level >= current_level:
+                            path_count += 1
+                        else:
+                            learnt.append(q)
+            index -= 1
+            while not seen[trail[index] >> 1]:
                 index -= 1
-                if seen[self._trail[index] >> 1]:
-                    break
-            p = self._trail[index]
-            var = p >> 1
+            p = trail[index]
             path_count -= 1
             if path_count == 0:
                 break
-            reason = self._reasons[var]
+            var = p >> 1
+            reason = reasons[var]
             if reason is None:
                 raise SolverError("decision literal reached before UIP")
             seen[var] = False
+            start = 1
         learnt[0] = p ^ 1
-        seen[p >> 1] = True
-        if (p >> 1) not in to_clear:
-            to_clear.append(p >> 1)
 
         # Self-subsumption minimization: a literal is redundant if its
         # reason clause is covered by the rest of the learnt clause.
-        def redundant(q: int) -> bool:
-            reason_q = self._reasons[q >> 1]
+        minimized = [learnt[0]]
+        for q in learnt[1:]:
+            reason_q = reasons[q >> 1]
             if reason_q is None:
-                return False
+                minimized.append(q)
+                continue
             for other in reason_q[1:]:
                 var_o = other >> 1
-                if not seen[var_o] and self._levels[var_o] > 0:
-                    return False
-            return True
-
-        minimized = [learnt[0]]
-        minimized.extend(q for q in learnt[1:] if not redundant(q))
+                if not seen[var_o] and levels[var_o] > 0:
+                    minimized.append(q)
+                    break
         learnt = minimized
 
         # Find backtrack level and move its literal to the watch slot.
@@ -396,14 +443,18 @@ class CdclSolver:
             backtrack_level = 0
         else:
             max_index = 1
+            max_level = levels[learnt[1] >> 1]
             for k in range(2, len(learnt)):
-                if self._levels[learnt[k] >> 1] > self._levels[learnt[max_index] >> 1]:
+                level = levels[learnt[k] >> 1]
+                if level > max_level:
                     max_index = k
+                    max_level = level
             learnt[1], learnt[max_index] = learnt[max_index], learnt[1]
-            backtrack_level = self._levels[learnt[1] >> 1]
+            backtrack_level = max_level
 
         for var in to_clear:
             seen[var] = False
+        self._bump_vars(to_clear)
         return learnt, backtrack_level
 
     # ------------------------------------------------------------------
@@ -503,9 +554,11 @@ class CdclSolver:
     # Decisions
     # ------------------------------------------------------------------
     def _pick_branch_var(self) -> int:
-        while self._heap:
-            _, var = heapq.heappop(self._heap)
-            if self._assigns[var] == 0:
+        heap = self._heap
+        values = self._values
+        while heap:
+            var = heapq.heappop(heap)[1]
+            if values[var << 1] == 0:
                 return var
         return 0
 
@@ -524,7 +577,8 @@ class CdclSolver:
         Returns :data:`SolveStatus.UNKNOWN` when a budget is exhausted; the
         solver remains usable afterwards (learned clauses are kept).
         """
-        self.stats.solve_calls += 1
+        stats = self.stats
+        stats.solve_calls += 1
         self.unsat_due_to_assumptions = False
         self._model = []
         if not self._ok:
@@ -534,45 +588,47 @@ class CdclSolver:
 
         deadline = Deadline(time_budget)
         internal_assumptions = [self._to_internal(a) for a in assumptions]
-        conflicts_at_start = self.stats.conflicts
+        proof = self._proof
+        trail_lim = self._trail_lim
+        values = self._values
+        propagate = self._propagate
+        conflicts_at_start = stats.conflicts
         restart_count = 0
         limit = luby(self._restart_base, restart_count)
         conflicts_this_restart = 0
 
         status = SolveStatus.UNKNOWN
         while True:
-            conflict = self._propagate()
+            conflict = propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 conflicts_this_restart += 1
-                if self._decision_level == 0:
+                if not trail_lim:
                     self._ok = False
-                    if self._proof is not None:
-                        self._proof.empty()
+                    if proof is not None:
+                        proof.empty()
                     status = SolveStatus.UNSAT
                     break
                 learnt, backtrack_level = self._analyze(conflict)
-                if self._proof is not None:
-                    self._proof.learn(
-                        [self._to_external(lit) for lit in learnt]
-                    )
+                if proof is not None:
+                    proof.learn([self._to_external(lit) for lit in learnt])
                 self._backtrack(backtrack_level)
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], None)
                 else:
                     self._learned.append(learnt)
                     self._clause_activity[id(learnt)] = self._clause_inc
-                    self.stats.learned_clauses += 1
+                    stats.learned_clauses += 1
                     self._attach(learnt)
                     self._enqueue(learnt[0], learnt)
                 self._var_inc /= self._var_decay
                 self._clause_inc /= self._clause_decay
                 if conflict_budget is not None and (
-                    self.stats.conflicts - conflicts_at_start >= conflict_budget
+                    stats.conflicts - conflicts_at_start >= conflict_budget
                 ):
                     status = SolveStatus.UNKNOWN
                     break
-                if self.stats.conflicts % 64 == 0 and deadline.expired():
+                if stats.conflicts % 64 == 0 and deadline.expired():
                     status = SolveStatus.UNKNOWN
                     break
                 if len(self._learned) >= self._max_learned:
@@ -581,15 +637,16 @@ class CdclSolver:
             else:
                 if conflicts_this_restart >= limit:
                     restart_count += 1
-                    self.stats.restarts += 1
+                    stats.restarts += 1
                     limit = luby(self._restart_base, restart_count)
                     conflicts_this_restart = 0
                     self._backtrack(0)
                     continue
                 # Re-establish assumptions as the first decision levels.
-                if self._decision_level < len(internal_assumptions):
-                    next_assumption = internal_assumptions[self._decision_level]
-                    value = self._lit_value(next_assumption)
+                level = len(trail_lim)
+                if level < len(internal_assumptions):
+                    next_assumption = internal_assumptions[level]
+                    value = values[next_assumption]
                     if value < 0:
                         self.unsat_due_to_assumptions = True
                         self._core = self._analyze_final(next_assumption)
@@ -601,13 +658,12 @@ class CdclSolver:
                     continue
                 var = self._pick_branch_var()
                 if var == 0:
-                    self._model = list(self._assigns)
+                    self._model = values[0::2]  # the positive literals
                     status = SolveStatus.SAT
                     break
-                self.stats.decisions += 1
+                stats.decisions += 1
                 self._new_decision_level()
-                ilit = var << 1 | (0 if self._phase[var] else 1)
-                self._enqueue(ilit, None)
+                self._enqueue(var << 1 | (0 if self._phase[var] else 1), None)
 
         self._backtrack(0)
         if status is SolveStatus.UNSAT and self.unsat_due_to_assumptions:
