@@ -185,6 +185,16 @@ class TestAssumptions:
         s._backtrack(0)
 
 
+class TestVsids:
+    def test_rescale_keeps_branching_on_the_latest_bumps(self):
+        s = CdclSolver()
+        s.new_vars(3)
+        s._var_inc = 6e99
+        s._bump_vars([1, 2])
+        s._bump_vars([2])  # past 1e100: every activity is rescaled
+        assert s._pick_branch_var() == 2
+
+
 class TestFuzzAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_formulas(self, seed):
