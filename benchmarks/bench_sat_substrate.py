@@ -2,74 +2,131 @@
 
 Not a paper artefact, but the oracle's speed bounds everything in
 Figure 4; these keep the solver's performance visible (pigeonhole UNSAT
-proofs and large random SAT instances).
+proofs, random 3-SAT, SAP's incremental narrowing, and SAP on every
+quick-corpus instance that reaches the oracle).
+
+Every case is recorded in ``BENCH_sat.json`` (override the directory
+with ``REPRO_BENCH_DIR``): the conflicts and propagations of its
+``CdclSolver.solve`` calls, their process time, and the rates
+conflicts/s and propagations/s — the numbers a speed-up of the solver
+core must move while the counts stay put.  Times are the fastest of
+:data:`REPEATS` runs.  The cold quick-corpus scoreboard run is recorded
+as wall time.
 """
 
 from __future__ import annotations
 
-import random
+import time
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List
 
 import pytest
 
-from repro.sat.formula import CnfFormula
+from repro.corpus.registry import build_corpus
+from repro.corpus.scoreboard import run_scoreboard
+from repro.sat.instances import pigeonhole, random_ksat
 from repro.sat.solver import CdclSolver, SolveStatus
+from repro.solvers.sap import sap_solve
+
+from _record import record_entry
+
+REPEATS = 3
 
 
-def pigeonhole(holes: int) -> CnfFormula:
-    formula = CnfFormula()
-    var = [
-        [formula.new_var() for _ in range(holes)]
-        for _ in range(holes + 1)
-    ]
-    for pigeon in var:
-        formula.add_clause(pigeon)
-    for h in range(holes):
-        for p1 in range(holes + 1):
-            for p2 in range(p1 + 1, holes + 1):
-                formula.add_clause([-var[p1][h], -var[p2][h]])
-    return formula
+@dataclass
+class CdclRun:
+    """What the ``solve`` calls of one run added up to."""
+
+    cpu_seconds: float = 0.0
+    conflicts: int = 0
+    propagations: int = 0
 
 
-def random_3sat(num_vars: int, num_clauses: int, seed: int) -> CnfFormula:
-    rng = random.Random(seed)
-    formula = CnfFormula()
-    formula.new_vars(num_vars)
-    for _ in range(num_clauses):
-        clause_vars = rng.sample(range(1, num_vars + 1), 3)
-        formula.add_clause(
-            [v * rng.choice([1, -1]) for v in clause_vars]
-        )
-    return formula
+class CdclMeter:
+    """Charges every ``CdclSolver.solve`` call to the current run."""
+
+    def __init__(self) -> None:
+        self.runs: List[CdclRun] = []
+
+    def run(self, fn: Callable[[], Any]) -> Any:
+        """Call ``fn`` as a new run."""
+        self.runs.append(CdclRun())
+        return fn()
+
+    def entry(self) -> Dict[str, Any]:
+        """The fastest run's numbers, and a fresh start for the next case.
+
+        Every run of a case must have searched alike: same conflicts,
+        same propagations.
+        """
+        assert len({(r.conflicts, r.propagations) for r in self.runs}) == 1
+        best = min(self.runs, key=lambda run: run.cpu_seconds)
+        self.runs = []
+        return {
+            "conflicts": best.conflicts,
+            "propagations": best.propagations,
+            "cpu_seconds": best.cpu_seconds,
+            "conflicts_per_s": best.conflicts / best.cpu_seconds,
+            "propagations_per_s": best.propagations / best.cpu_seconds,
+        }
+
+
+@pytest.fixture
+def cdcl_meter(monkeypatch):
+    meter = CdclMeter()
+    solve = CdclSolver.solve
+
+    def metered(solver, *args, **kwargs):
+        run = meter.runs[-1]
+        conflicts = solver.stats.conflicts
+        propagations = solver.stats.propagations
+        began = time.process_time()
+        try:
+            return solve(solver, *args, **kwargs)
+        finally:
+            run.cpu_seconds += time.process_time() - began
+            run.conflicts += solver.stats.conflicts - conflicts
+            run.propagations += solver.stats.propagations - propagations
+
+    monkeypatch.setattr(CdclSolver, "solve", metered)
+    return meter
 
 
 @pytest.mark.parametrize("holes", [5, 6])
-def test_pigeonhole_unsat(benchmark, holes):
+def test_pigeonhole_unsat(benchmark, cdcl_meter, holes):
     formula = pigeonhole(holes)
 
     def prove():
         solver = CdclSolver.from_formula(formula)
         return solver.solve()
 
-    status = benchmark(prove)
+    status = benchmark.pedantic(
+        cdcl_meter.run, args=(prove,), rounds=REPEATS
+    )
     assert status is SolveStatus.UNSAT
+    record_entry("sat", f"pigeonhole-{holes}", cdcl_meter.entry())
 
 
 @pytest.mark.parametrize("ratio", [3.0, 4.2])
-def test_random_3sat(benchmark, root_seed, ratio):
+def test_random_3sat(benchmark, cdcl_meter, root_seed, ratio):
     num_vars = 60
-    formula = random_3sat(num_vars, int(num_vars * ratio), root_seed)
+    formula = random_ksat(num_vars, int(num_vars * ratio), seed=root_seed)
 
     def solve():
         solver = CdclSolver.from_formula(formula)
-        return solver.solve(), solver.stats.conflicts
+        return solver.solve()
 
-    status, conflicts = benchmark(solve)
+    status = benchmark.pedantic(
+        cdcl_meter.run, args=(solve,), rounds=REPEATS
+    )
     assert status in (SolveStatus.SAT, SolveStatus.UNSAT)
+    entry = cdcl_meter.entry()
     benchmark.extra_info["clause_ratio"] = ratio
-    benchmark.extra_info["conflicts"] = conflicts
+    benchmark.extra_info["conflicts"] = entry["conflicts"]
+    record_entry("sat", f"random-3sat-60-{ratio}", entry)
 
 
-def test_incremental_narrowing_pattern(benchmark):
+def test_incremental_narrowing_pattern(benchmark, cdcl_meter):
     """The SAP access pattern: one encoding, repeated narrowing solves."""
     from repro.core.paper_matrices import figure_1b
     from repro.smt.encoder import DirectEncoder
@@ -85,9 +142,49 @@ def test_incremental_narrowing_pattern(benchmark):
         statuses.append(encoder.solve())
         return statuses
 
-    statuses = benchmark(descend)
+    statuses = benchmark.pedantic(
+        cdcl_meter.run, args=(descend,), rounds=REPEATS
+    )
     assert statuses == [
         SolveStatus.SAT,
         SolveStatus.SAT,
         SolveStatus.UNSAT,
     ]
+    record_entry("sat", "narrowing-figure1b", cdcl_meter.entry())
+
+
+def test_sap_on_quick_corpus(cdcl_meter, root_seed):
+    """SAP (32 packing trials) on each quick-corpus instance whose
+    heuristic bound does not meet the rank bound, so that the oracle
+    runs; ``rand-10x10-occ0.5-1`` is the corpus's one hard UNSAT proof."""
+    queried = []
+    for instance in build_corpus(profile="quick", seed=root_seed):
+        for _ in range(REPEATS):
+            result = cdcl_meter.run(
+                lambda: sap_solve(instance.matrix, trials=32, seed=root_seed)
+            )
+        if not result.queries:
+            cdcl_meter.runs = []
+            continue
+        entry = cdcl_meter.entry()
+        entry["queries"] = len(result.queries)
+        entry["depth"] = result.depth
+        entry["optimal"] = result.proved_optimal
+        record_entry("sat", f"sap/{instance.case_id}", entry)
+        queried.append(instance.case_id)
+    assert "rand-10x10-occ0.5-1" in queried
+
+
+def test_cold_quick_corpus(cdcl_meter, root_seed):
+    """The quick corpus through the default portfolio, no cache."""
+    walls = []
+    for _ in range(REPEATS):
+        began = time.perf_counter()
+        report = cdcl_meter.run(
+            lambda: run_scoreboard(profile="quick", seed=root_seed)
+        )
+        walls.append(time.perf_counter() - began)
+    entry = cdcl_meter.entry()
+    entry["instances"] = len(report.rows)
+    entry["wall_seconds"] = min(walls)
+    record_entry("sat", "cold-quick-corpus", entry)

@@ -175,13 +175,13 @@ class CdclSolver:
         self._num_vars += 1
         self._values.append(0)
         self._values.append(0)
-        self._watches.append([])
-        self._watches.append([])
         self._levels.append(0)
         self._reasons.append(None)
         self._activity.append(0.0)
         self._phase.append(False)
         self._seen.append(False)
+        self._watches.append([])
+        self._watches.append([])
         heapq.heappush(self._heap, (0.0, self._num_vars))
         return self._num_vars
 
@@ -280,7 +280,6 @@ class CdclSolver:
         activity = self._activity
         heap = self._heap
         heappush = heapq.heappush
-        # Unassign newest first: the heap sees the pushes in trail order.
         # A reason left behind is never read: every enqueue rewrites it.
         for ilit in reversed(trail[boundary:]):
             var = ilit >> 1

@@ -171,8 +171,8 @@ class TestSolverProperties:
     def test_learned_clause_reduction_keeps_answers(
         self, num_vars, ratio, seed, max_learned
     ):
-        """Near-threshold random 4-SAT under a tiny learned-clause limit:
-        ``_reduce_db`` deletes clauses mid-search in about half of the
+        """Near-threshold random 4-SAT under a tiny learned-clause limit,
+        so that ``_reduce_db`` deletes clauses mid-search in many
         examples (random 3-SAT this small rarely learns enough)."""
         formula = random_ksat(
             num_vars, int(ratio * num_vars), k=4, seed=seed
