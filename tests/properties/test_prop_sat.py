@@ -70,13 +70,16 @@ class TestSolverProperties:
     @settings(max_examples=80)
     def test_agrees_with_brute_force(self, formula):
         expected_sat = brute_force_model(formula) is not None
-        solver = CdclSolver.from_formula(formula)
+        log = ProofLog()
+        solver = CdclSolver.from_formula(formula, proof=log)
         status = solver.solve()
         assert (status is SolveStatus.SAT) == expected_sat
         if status is SolveStatus.SAT:
             model = solver.model()
             for clause in formula.clauses:
                 assert any(model[abs(l)] == (l > 0) for l in clause)
+        else:
+            check_refutation(log)
 
     @given(cnf_formulas(max_vars=6, max_clauses=15))
     @settings(max_examples=40)
@@ -143,7 +146,8 @@ class TestSolverProperties:
         assumptions = data.draw(
             st.lists(literals(num_vars), min_size=1, max_size=4)
         )
-        solver = CdclSolver()
+        log = ProofLog()
+        solver = CdclSolver(proof=log)
         solver.new_vars(num_vars)
         for clause in clauses:
             solver.add_clause(clause)
@@ -159,7 +163,10 @@ class TestSolverProperties:
             else:
                 assert not is_sat(num_vars, clauses)
         # The assumptions leave no trace on the next solve.
-        assert (solver.solve() is SolveStatus.SAT) == is_sat(num_vars, clauses)
+        status = solver.solve()
+        assert (status is SolveStatus.SAT) == is_sat(num_vars, clauses)
+        if status is SolveStatus.UNSAT:
+            check_refutation(log)
 
     @given(
         st.integers(9, 12),
