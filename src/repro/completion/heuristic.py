@@ -99,11 +99,13 @@ def masked_row_packing(
         )
         candidates.append((transposed, True))
 
+    # Only shuffled orders differ from trial to trial.
+    trials = options.trials if options.ordering == "shuffle" else 1
     best: Optional[Partition] = None
     for candidate, transposed in candidates:
         num_rows = candidate.shape[0]
         identity = list(range(num_rows))
-        for _ in range(options.trials):
+        for _ in range(trials):
             if options.ordering == "given":
                 order = identity
             elif options.ordering == "sparse_first":

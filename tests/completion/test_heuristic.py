@@ -1,5 +1,8 @@
 """Unit tests for masked row packing."""
 
+import pytest
+
+from repro.completion import heuristic
 from repro.completion.heuristic import (
     masked_pack_rows_once,
     masked_row_packing,
@@ -83,3 +86,22 @@ class TestMaskedRowPacking:
             masked, options=PackingOptions(trials=2, seed=0)
         )
         assert partition.depth == 0
+
+
+    @pytest.mark.parametrize(
+        ("ordering", "passes"),
+        [("given", 2), ("sparse_first", 2), ("shuffle", 20)],
+    )
+    def test_trials_apply_to_shuffle_only(self, monkeypatch, ordering, passes):
+        calls = []
+        pack_once = heuristic.masked_pack_rows_once
+
+        def spy(masked, order, **kwargs):
+            calls.append(list(order))
+            return pack_once(masked, order, **kwargs)
+
+        monkeypatch.setattr(heuristic, "masked_pack_rows_once", spy)
+        masked = MaskedMatrix.from_strings(["1*0", "011", "1*1"])
+        options = PackingOptions(trials=10, seed=0, ordering=ordering)
+        masked_row_packing(masked, options=options)
+        assert len(calls) == passes

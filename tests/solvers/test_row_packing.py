@@ -1,11 +1,14 @@
 """Unit tests for the row packing heuristic (Algorithm 2)."""
 
+import importlib
+
 import pytest
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.bounds import trivial_upper_bound
 from repro.core.exceptions import SolverError
 from repro.core.paper_matrices import FIGURE_3_GOOD_ORDER, figure_3
+from repro.solvers.registry import make_heuristic
 from repro.solvers.row_packing import (
     PackingOptions,
     PackingTrace,
@@ -153,3 +156,37 @@ class TestRowPacking:
         a = row_packing(m, options=PackingOptions(trials=5, seed=42))
         b = row_packing(m, options=PackingOptions(trials=5, seed=42))
         assert a.depth == b.depth
+
+
+class TestPassCount:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Every row order ``row_packing`` runs a pass over."""
+        # ``repro.solvers.row_packing`` names the function in the package.
+        module = importlib.import_module("repro.solvers.row_packing")
+        orders = []
+        pack_once = module.pack_rows_once
+
+        def spy(matrix, order, **kwargs):
+            orders.append(list(order))
+            return pack_once(matrix, order, **kwargs)
+
+        monkeypatch.setattr(module, "pack_rows_once", spy)
+        return orders
+
+    def test_sorted_ablation_member_packs_once_per_side(self, passes):
+        make_heuristic("packing_sorted:10")(figure_3(), 0)
+        assert len(passes) == 2
+
+    @pytest.mark.parametrize("ordering", ["given", "sparse_first"])
+    def test_fixed_orderings_ignore_trials(self, passes, ordering):
+        m = figure_3()
+        once = row_packing(m, options=PackingOptions(trials=1, ordering=ordering))
+        del passes[:]
+        many = row_packing(m, options=PackingOptions(trials=10, ordering=ordering))
+        assert len(passes) == 2
+        assert many == once
+
+    def test_shuffle_runs_every_trial(self, passes):
+        row_packing(figure_3(), options=PackingOptions(trials=10, seed=0))
+        assert len(passes) == 20
