@@ -5,25 +5,55 @@ mean fewer (or no) UNSAT proofs.  This benchmark measures both the cost
 and the tightness of the three bounds on the families where they
 differ: random (rank is near-tight), gap (rank is slack by
 construction), and crown matrices (rank n vs logarithmic cover bounds).
+
+It also times the two exact rank paths on the paper-scale matrices the
+``heuristic-large`` workload solves: the five 100x100 ``table1-rand``
+occupancies and the full ``scale-sweep`` family.  ``rank_over_q``
+eliminates matrices of 32x32 and up modulo primes; the Bareiss path is
+what it replaced there.
+
+Every case is recorded in ``BENCH_bounds.json`` (override the directory
+with ``REPRO_BENCH_DIR``), with process times that are the fastest of
+:data:`REPEATS` runs.
 """
 
 from __future__ import annotations
+
+import time
+from typing import Any, Callable, List, Tuple
 
 import pytest
 
 from repro.benchgen.gap import gap_matrix
 from repro.benchgen.random_matrices import random_nonempty_matrix
+from repro.benchgen.suite import LARGE_OCCUPANCIES, random_suite
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.bounds import fooling_lower_bound, rank_lower_bound
+from repro.corpus.registry import get_family
 from repro.cover.lp import lp_lower_bound
+from repro.linalg.exact_rank import _bareiss_rank, _to_int_rows, rank_over_q
 from repro.solvers.branch_bound import binary_rank_branch_bound
 from repro.utils.rng import spawn_seeds
+
+from _record import record_entry
+
+REPEATS = 3
 
 BOUNDS = {
     "rank": rank_lower_bound,
     "fooling": lambda m: fooling_lower_bound(m, seed=0),
     "lp": lp_lower_bound,
 }
+
+
+def _fastest(fn: Callable[[], Any]) -> Tuple[Any, float]:
+    """``fn()`` and the least process time of :data:`REPEATS` calls."""
+    times: List[float] = []
+    for _ in range(REPEATS):
+        began = time.process_time()
+        result = fn()
+        times.append(time.process_time() - began)
+    return result, min(times)
 
 
 def _family(name, root_seed, count):
@@ -54,10 +84,52 @@ def test_bound_cost(benchmark, root_seed, scale, family, bound_name):
     def run():
         return sum(bound(matrix) for matrix in matrices)
 
-    total = benchmark(run)
+    total, cpu_seconds = benchmark.pedantic(
+        _fastest, args=(run,), rounds=1
+    )
     benchmark.extra_info["family"] = family
     benchmark.extra_info["bound"] = bound_name
     benchmark.extra_info["total_bound"] = total
+    record_entry(
+        "bounds",
+        f"{family}/{bound_name}",
+        {"matrices": count, "total_bound": total, "cpu_seconds": cpu_seconds},
+    )
+
+
+def _heuristic_large_groups(root_seed):
+    """``(name, matrices)`` of each group the ``heuristic-large``
+    workload draws from."""
+    large = random_suite((100, 100), LARGE_OCCUPANCIES, 10, seed=root_seed)
+    for occupancy in LARGE_OCCUPANCIES:
+        yield f"table1-rand-100x100-occ{occupancy:g}", [
+            case.matrix
+            for case in large
+            if case.params["occupancy"] == occupancy
+        ]
+    sweep = get_family("scale-sweep").build("full", root_seed)
+    yield "scale-sweep-full", [instance.matrix for instance in sweep]
+
+
+def test_rank_paths_on_heuristic_large(root_seed):
+    """Eq. 3 by ``rank_over_q`` and by the Bareiss path, same ranks."""
+    for name, matrices in _heuristic_large_groups(root_seed):
+        ranks, rank_cpu = _fastest(lambda: [rank_over_q(m) for m in matrices])
+        reference, bareiss_cpu = _fastest(
+            lambda: [_bareiss_rank(_to_int_rows(m)) for m in matrices]
+        )
+        assert ranks == reference
+        record_entry(
+            "bounds",
+            f"rank/{name}",
+            {
+                "shapes": sorted({"x".join(map(str, m.shape)) for m in matrices}),
+                "ranks": ranks,
+                "rank_over_q_cpu_s": rank_cpu,
+                "bareiss_cpu_s": bareiss_cpu,
+                "speedup": bareiss_cpu / rank_cpu,
+            },
+        )
 
 
 def test_bound_tightness(scale, root_seed):
