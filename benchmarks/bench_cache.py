@@ -17,12 +17,27 @@ overridable via ``REPRO_BENCH_DIR``):
   complete journaled pass (plan, sweep, compaction, index rebuild).
   Hardware-dependent; recorded only, alongside the per-entry rate so
   runs on different corpus sizes stay comparable.
+* **store write per miss** — what a gateway pays at flush for one
+  cache miss: ``tier.get(key)`` then ``tier.store({key: payload})``,
+  repeated until the store holds 130 entries (the misses of one
+  ``gateway-mixed`` round) or 1,000 (a long-lived gateway; the index
+  is still rewritten whole per miss, so this row grows with the
+  store).  Recorded: seconds per miss (median of the last 100) and
+  filesystem calls per miss, counted by wrapping ``os.stat``,
+  ``os.mkdir``, ``os.replace``, ``os.scandir``, ``os.open``,
+  ``open`` and ``fcntl.flock``.  The counts are deterministic, so
+  they compare across hosts; the seconds do not.  Recorded only.
 """
 
 from __future__ import annotations
 
+import builtins
+import collections
+import fcntl
 import json
 import hashlib
+import os
+import random
 import statistics
 import time
 
@@ -32,6 +47,7 @@ from repro.server import store_gc
 from repro.server.shards import (
     ShardedDiskTier,
     StoreLimits,
+    canonical_payload_bytes,
     verify_entry,
 )
 from repro.utils.clock import wall_now
@@ -43,6 +59,18 @@ pytestmark = pytest.mark.cache
 OVERHEAD_LIMIT = 0.02
 """The per-read eviction steps (TTL check + LRU touch stamp) may cost
 at most this fraction of a full shard read."""
+
+MISS_STORE_SIZES = (130, 1_000)
+TIMED_MISSES = 100
+FS_CALLS = (
+    (os, "stat"),
+    (os, "mkdir"),
+    (os, "replace"),
+    (os, "scandir"),
+    (os, "open"),
+    (builtins, "open"),
+    (fcntl, "flock"),
+)
 
 
 def _key(tag: str) -> str:
@@ -142,5 +170,102 @@ def test_full_gc_latency(tmp_path, root_seed):
             "gc_wall_seconds": gc_wall,
             "gc_seconds_per_evicted_entry": gc_wall
             / max(1, len(report.evicted_keys)),
+        },
+    )
+
+
+def _result_payload(n: int) -> dict:
+    """A cached solve result shaped like ``result_to_dict`` output.
+
+    Its canonical size is about 830 bytes, the median over the 130
+    results one ``gateway-mixed`` round writes (946 bytes as JSON with
+    ``json.dumps``'s default separators).
+    """
+    rng = random.Random(n)
+    rectangles = [
+        {
+            "rows": sorted(rng.sample(range(10), 3)),
+            "cols": sorted(rng.sample(range(10), 3)),
+        }
+        for _ in range(8)
+    ]
+    outcome = {"error": None, "skipped": False, "proved_optimal": False}
+    depths = (("trivial", 10), ("packing:32", 11), ("sap", 10))
+    return {
+        "version": 1,
+        "type": "portfolio_result",
+        "partition": {
+            "version": 1,
+            "type": "partition",
+            "shape": [10, 10],
+            "rectangles": rectangles,
+        },
+        "winner": "sap",
+        "optimal": True,
+        "lower_bound": 10,
+        "certifier": "sap",
+        "seed": n,
+        "wall_seconds": rng.random(),
+        "outcomes": [
+            dict(outcome, name=name, depth=depth, seconds=rng.random())
+            for name, depth in depths
+        ],
+    }
+
+
+def _misses(tier: ShardedDiskTier, count: int) -> list:
+    """Seconds of each of ``count`` misses written to ``tier``."""
+    seconds = []
+    for n in range(count):
+        key, payload = _key(f"miss-{n}"), _result_payload(n)
+        began = time.perf_counter()
+        assert tier.get(key) is None
+        tier.store({key: payload})
+        seconds.append(time.perf_counter() - began)
+    return seconds
+
+
+def test_store_write_per_miss(tmp_path, monkeypatch):
+    """Get + store of one miss: seconds and filesystem calls."""
+    rows = {}
+    for size in MISS_STORE_SIZES:
+        timed = ShardedDiskTier(tmp_path / f"timed-{size}")
+        seconds = _misses(timed, size)
+        assert timed.entry_count() == size
+
+        counted = ShardedDiskTier(tmp_path / f"counted-{size}")
+        calls: collections.Counter = collections.Counter()
+        for module, name in FS_CALLS:
+            real = getattr(module, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        _misses(counted, size)
+        monkeypatch.undo()
+        assert counted.entry_count() == size
+
+        rows[str(size)] = {
+            "seconds_per_miss_median": statistics.median(
+                seconds[-TIMED_MISSES:]
+            ),
+            "timed_misses": TIMED_MISSES,
+            "fs_calls_per_miss": sum(calls.values()) / size,
+            "fs_calls_per_miss_by_kind": {
+                name: count / size for name, count in sorted(calls.items())
+            },
+        }
+    sizes = [
+        len(canonical_payload_bytes(_result_payload(n)))
+        for n in range(MISS_STORE_SIZES[0])
+    ]
+    record_entry(
+        "cache",
+        "store_write_per_miss",
+        {
+            "payload_bytes_median": statistics.median(sizes),
+            "by_store_entries": rows,
         },
     )

@@ -488,6 +488,7 @@ class ShardedDiskTier:
                 "entries": entries,
                 "meta": {k: meta[k] for k in entries if k in meta},
             },
+            indent=None,
         )
         # Chaos seam: truncate what was just written so the next read
         # exercises the quarantine path (one-shot, self-disarming).
@@ -649,22 +650,33 @@ class ShardedDiskTier:
         return payload
 
     def _write_index(self, payload: Dict[str, Any]) -> None:
-        atomic_write_json(self.index_path(), payload, sort_keys=True)
+        atomic_write_json(
+            self.index_path(), payload, sort_keys=True, indent=None
+        )
         # Chaos seam: truncate the index just written — the next reader
         # must fall back to rebuilding from the shards (one-shot).
         if faults.should_corrupt_index_write():
             with open(self.index_path(), "w") as stream:
                 stream.write('{"version": 1, "type": "portfolio_cache_ind')
 
+    @staticmethod
+    def _shard_stamp(shard: Path) -> Optional[Tuple[int, int]]:
+        """``(size, mtime_ns)`` of one shard, ``None`` if it is gone."""
+        try:
+            stat = shard.stat()
+        except OSError:
+            return None
+        return (stat.st_size, stat.st_mtime_ns)
+
     def _shard_stamps(self) -> Dict[str, Tuple[int, int]]:
-        """``{shard filename: (size, mtime_ns)}`` for staleness checks."""
+        """``{shard filename: (size, mtime_ns)}`` of every shard, for
+        staleness checks.  It globs the root, so the steady-state write
+        path never calls it."""
         stamps: Dict[str, Tuple[int, int]] = {}
         for shard in sorted(self.root.glob("shard-*.json")):
-            try:
-                stat = shard.stat()
-            except OSError:
-                continue
-            stamps[shard.name] = (stat.st_size, stat.st_mtime_ns)
+            stamp = self._shard_stamp(shard)
+            if stamp is not None:
+                stamps[shard.name] = stamp
         return stamps
 
     def _index_totals(self, payload: Dict[str, Any]) -> Tuple[int, int]:
@@ -676,12 +688,28 @@ class ShardedDiskTier:
         return total, len(entries)
 
     def _update_index(self, written: Dict[str, Dict[str, Any]]) -> None:
-        """Fold fresh meta + batched touches into the on-disk index."""
+        """Fold fresh meta + batched touches into the on-disk index.
+
+        Only the shards holding ``written`` keys are re-stamped.  A
+        shard rewritten without an index update (a writer that died
+        before this step, or an entry quarantined on read) thus keeps
+        its stale stamp until ``load_index(verify=True)`` notices and
+        rebuilds.  A missing or corrupt index is rebuilt by a scan,
+        which stamps every shard.
+        """
         touches, self._touches = self._touches, {}
         with locked_file(self._index_lock()):
             payload = self._read_index()
             if payload is None:
                 payload = self._scan_for_index()
+            else:
+                stamps = payload.setdefault("shards", {})
+                for shard in {self.shard_path(key) for key in written}:
+                    stamp = self._shard_stamp(shard)
+                    if stamp is None:
+                        stamps.pop(shard.name, None)
+                    else:
+                        stamps[shard.name] = list(stamp)
             index_entries = payload["entries"]
             for key, meta in written.items():
                 index_entries[key] = {
@@ -694,17 +722,14 @@ class ShardedDiskTier:
                 slot = index_entries.get(key)
                 if slot is not None:
                     slot["a"] = max(slot.get("a", 0) or 0, stamp)
-            payload["shards"] = {
-                name: list(stamp)
-                for name, stamp in self._shard_stamps().items()
-            }
             self._write_index(payload)
             self._approx_bytes, self._approx_entries = self._index_totals(
                 payload
             )
 
     def _scan_for_index(self) -> Dict[str, Any]:
-        """Authoritative index payload built by reading every shard."""
+        """Authoritative index payload built by reading every shard;
+        every shard is stamped once the reads are done."""
         entries: Dict[str, Dict[str, Any]] = {}
         for shard in sorted(self.root.glob("shard-*.json")):
             with locked_file(self._lock_path(shard)):
@@ -728,17 +753,16 @@ class ShardedDiskTier:
             "type": INDEX_TYPE,
             "version": INDEX_FORMAT_VERSION,
             "entries": entries,
-            "shards": {},
+            "shards": {
+                name: list(stamp)
+                for name, stamp in self._shard_stamps().items()
+            },
         }
 
     def rebuild_index(self) -> Dict[str, Any]:
         """Rebuild the index from the shards (the recovery fallback)."""
         with locked_file(self._index_lock()):
             payload = self._scan_for_index()
-            payload["shards"] = {
-                name: list(stamp)
-                for name, stamp in self._shard_stamps().items()
-            }
             self._write_index(payload)
             self._approx_bytes, self._approx_entries = self._index_totals(
                 payload

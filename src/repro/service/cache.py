@@ -288,9 +288,6 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, matrix: BinaryMatrix) -> bool:
-        return matrix_key(matrix) in self._entries
-
     def get(
         self, matrix: BinaryMatrix, context: str = ""
     ) -> Optional[PortfolioResult]:

@@ -3,6 +3,9 @@
 Layer-neutral home for the two invariants every on-disk tier relies
 on: writes are atomic (readers see the old file or the new one, never a
 prefix) and cross-process critical sections lock a stable inode.
+
+A missing parent directory is created only when an open fails for
+lack of it, so the steady state pays no ``mkdir``/``stat`` per call.
 """
 
 from __future__ import annotations
@@ -12,12 +15,25 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, Optional, TypeVar
 
 try:  # pragma: no cover - always present on the POSIX targets
     import fcntl
 except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
+
+
+T = TypeVar("T")
+
+
+def _with_parent(path: Path, create: Callable[[], T]) -> T:
+    """``create()``, retried once after making ``path``'s parent
+    directory if it failed because that directory is missing."""
+    try:
+        return create()
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return create()
 
 
 @contextmanager
@@ -30,8 +46,7 @@ def locked_file(lock_path: Path) -> Iterator[None]:
     critical sections are a single small-file read-merge-write.  On
     platforms without ``fcntl`` this degrades to no locking.
     """
-    lock_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(lock_path, "a+") as handle:
+    with _with_parent(lock_path, lambda: open(lock_path, "a+")) as handle:
         if fcntl is not None:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
         try:
@@ -51,8 +66,7 @@ def try_locked_file(lock_path: Path) -> Iterator[bool]:
     already running.  Without ``fcntl`` this degrades to "always
     acquired", matching :func:`locked_file`.
     """
-    lock_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(lock_path, "a+") as handle:
+    with _with_parent(lock_path, lambda: open(lock_path, "a+")) as handle:
         if fcntl is None:
             yield True
             return
@@ -68,7 +82,11 @@ def try_locked_file(lock_path: Path) -> Iterator[bool]:
 
 
 def atomic_write_json(
-    path: Path, payload: Any, *, sort_keys: bool = False
+    path: Path,
+    payload: Any,
+    *,
+    sort_keys: bool = False,
+    indent: Optional[int] = 2,
 ) -> None:
     """Write ``payload`` as JSON via tempfile + ``os.replace``.
 
@@ -77,14 +95,26 @@ def atomic_write_json(
     ``sort_keys`` makes the byte stream independent of dict insertion
     order — required for artifacts with a byte-identical-reproduction
     contract (scoreboard baselines).
+
+    The default ``indent=2`` keeps committed artifacts readable and
+    their bytes stable.  Pass ``indent=None`` for files written on a
+    hot path (the cache store's shards and index): the output is then
+    compact, with no whitespace, and encoded by ``json``'s C encoder,
+    which never runs for indented output.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, temp_name = tempfile.mkstemp(
-        prefix=f".{path.name}.", suffix=".tmp", dir=str(path.parent)
+    separators = (",", ":") if indent is None else None
+    text = json.dumps(
+        payload, indent=indent, separators=separators, sort_keys=sort_keys
+    )
+    handle, temp_name = _with_parent(
+        path,
+        lambda: tempfile.mkstemp(
+            prefix=f".{path.name}.", suffix=".tmp", dir=str(path.parent)
+        ),
     )
     try:
         with os.fdopen(handle, "w") as stream:
-            json.dump(payload, stream, indent=2, sort_keys=sort_keys)
+            stream.write(text)
             stream.write("\n")
         os.replace(temp_name, path)
     except BaseException:

@@ -144,6 +144,22 @@ class TestEntryIntegrity:
         assert record["entry"]["tag"] == "tampered"
         assert "integrity" in record["reason"]
 
+    def test_indented_store_from_older_builds_serves(self, tmp_path):
+        # Older builds wrote shards and the index indented.  Hashes cover
+        # the canonical payload bytes, so the file layout cannot matter.
+        root = tmp_path / "store"
+        entries = {_key(f"old-{n}"): _payload(f"old-{n}") for n in range(6)}
+        ShardedDiskTier(root).store(entries)
+        for path in [*root.glob("shard-*.json"), root / INDEX_NAME]:
+            path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+        tier = ShardedDiskTier(root)
+        assert set(tier.load_index(verify=True)["entries"]) == set(entries)
+        for key, payload in entries.items():
+            assert tier.get(key) == payload
+        assert tier.integrity_failures == 0
+        tier.store({_key("new"): _payload("new")})
+        assert tier.entry_count() == len(entries) + 1
+
 
 class TestTtlOnRead:
     def test_expired_entry_reads_as_miss(self, tmp_path):
@@ -237,6 +253,57 @@ class TestIndex:
         fresh = ShardedDiskTier(root)
         assert fresh.load_index(verify=True)["entries"]
         assert fresh.entry_count() == 1
+
+    def test_store_stamps_only_the_written_shard(self, tmp_path, monkeypatch):
+        tier = ShardedDiskTier(tmp_path / "store")
+        tier.store({_key(f"p-{n}"): _payload(f"p-{n}") for n in range(8)})
+        scans = []
+        full_stamps = tier._shard_stamps
+        monkeypatch.setattr(
+            tier, "_shard_stamps", lambda: scans.append(1) or full_stamps()
+        )
+        key = _key("fresh")
+        tier.store({key: _payload("fresh")})
+        assert scans == []
+        shard = tier.shard_path(key)
+        stamp = tier.load_index()["shards"][shard.name]
+        assert tuple(stamp) == tier._shard_stamp(shard)
+
+    def test_unindexed_shard_write_stays_visible_to_verify(self, tmp_path):
+        tier = ShardedDiskTier(tmp_path / "store")
+        tier.store({_key("a"): _payload("a")})
+        # A writer that died between its shard write and its index
+        # update: the entry is in a shard the index never heard of.
+        hidden = _key("hidden")
+        tier._merge({hidden: _payload("hidden")})
+        taken = {tier.shard_path(_key("a")), tier.shard_path(hidden)}
+        other = next(
+            key
+            for key in (_key(f"other-{n}") for n in range(64))
+            if tier.shard_path(key) not in taken
+        )
+        tier.store({other: _payload("other")})
+        assert hidden not in tier.load_index()["entries"]
+        assert hidden in tier.load_index(verify=True)["entries"]
+
+    def test_write_path_stamps_agree_with_a_full_scan(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "store"
+        tier = ShardedDiskTier(root)
+        for n in range(40):
+            tier.store({_key(f"w-{n % 30}"): _payload(f"w-{n}")})
+        rebuilds = []
+        rebuild = tier.rebuild_index
+        monkeypatch.setattr(
+            tier, "rebuild_index", lambda: rebuilds.append(1) or rebuild()
+        )
+        assert len(tier.load_index(verify=True)["entries"]) == 30
+        # Deleted mid-life: the next write rebuilds the index by a scan.
+        (root / INDEX_NAME).unlink()
+        tier.store({_key("after"): _payload("after")})
+        assert len(tier.load_index(verify=True)["entries"]) == 31
+        assert rebuilds == []
 
     def test_touch_stamps_batch_into_index(self, tmp_path):
         clock = FixedClock(1_000.0)
