@@ -99,8 +99,8 @@ def atomic_write_json(
     The default ``indent=2`` keeps committed artifacts readable and
     their bytes stable.  Pass ``indent=None`` for files written on a
     hot path (the cache store's shards and index): the output is then
-    compact, with no whitespace, and encoded by ``json``'s C encoder,
-    which never runs for indented output.
+    compact, with no whitespace, and ``json.dumps`` can use its C
+    encoder, which indented output rules out.
     """
     separators = (",", ":") if indent is None else None
     text = json.dumps(
