@@ -7,14 +7,22 @@ restart and reduction schedules runs the same search and reproduces
 these counters exactly; one that changes the search moves at least one
 of them.  The activity rescale only fires past about 4,500 conflicts,
 which none of these solves reaches.
+
+The completion and cover pins were recorded while each of those
+problems still had its own label encoder and descent loop.  They find
+their solvers through ``CdclSolver`` itself, so they pin the formula
+and the search whichever encoder builds it.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.completion import MaskedMatrix, masked_minimum_addressing
+from repro.core.binary_matrix import BinaryMatrix
 from repro.core.paper_matrices import figure_1b
 from repro.corpus.registry import build_corpus
+from repro.cover import minimum_cover
 from repro.sat.instances import pigeonhole, random_ksat
 from repro.sat.solver import CdclSolver, SolveStatus
 from repro.smt import oracle as oracle_module
@@ -121,4 +129,96 @@ def test_sap_search_is_pinned(case_id, monkeypatch):
     assert (result.depth, result.proved_optimal) == (10, True)
     assert [enc.solver.stats.as_dict() for enc in encoders] == [
         SAP_CASES[case_id]
+    ]
+
+
+def _record_solves(monkeypatch):
+    """Keep every CdclSolver built and the status of every solve, in
+    order, whichever encoder built the solver."""
+    solvers, statuses = [], []
+    init, solve = CdclSolver.__init__, CdclSolver.solve
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        solvers.append(self)
+
+    def recording_solve(self, *args, **kwargs):
+        statuses.append(solve(self, *args, **kwargs))
+        return statuses[-1]
+
+    monkeypatch.setattr(CdclSolver, "__init__", recording_init)
+    monkeypatch.setattr(CdclSolver, "solve", recording_solve)
+    return solvers, statuses
+
+
+def _stripe_dont_cares(matrix):
+    """Don't-cares on the 0s of ``matrix`` with ``(i + 2j) % 5 == 0``."""
+    rows, cols = matrix.shape
+    return BinaryMatrix(
+        [
+            sum(
+                1 << j
+                for j in range(cols)
+                if (i + 2 * j) % 5 == 0 and not (matrix.row_mask(i) >> j) & 1
+            )
+            for i in range(rows)
+        ],
+        cols,
+    )
+
+
+SAT, UNSAT = SolveStatus.SAT, SolveStatus.UNSAT
+
+# case: (heuristic depth, solve statuses, depth, SolverStats).  The
+# descent asks at one below the best depth so far, so each list below
+# reads as its queries' bounds: from the heuristic depth down by one.
+COMPLETION_CASES = {
+    # queries: 9 SAT, 8 UNSAT
+    "gap-10x10-p2-4": (10, [SAT, UNSAT], 9,
+                       _stats(1037, 1733, 93207, 7, 1028, 0, 2)),
+}
+COVER_CASES = {
+    # queries: 9 SAT, 8 SAT, 7 UNSAT
+    "rand-10x10-occ0.5-1": (10, [SAT, SAT, UNSAT], 8,
+                            _stats(496, 855, 34362, 3, 492, 0, 3)),
+    # queries: 5 SAT, 4 UNSAT
+    "fool-complement-8": (6, [SAT, UNSAT], 5,
+                          _stats(514, 800, 28026, 3, 508, 0, 2)),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(COMPLETION_CASES))
+def test_completion_search_is_pinned(case_id, monkeypatch):
+    matrix = {
+        inst.case_id: inst
+        for inst in build_corpus(["table1-gap"], profile="quick", seed=2024)
+    }[case_id].matrix
+    masked = MaskedMatrix(matrix, _stripe_dont_cares(matrix))
+    solvers, statuses = _record_solves(monkeypatch)
+    outcome = masked_minimum_addressing(masked, trials=2, seed=2024)
+    heuristic, expected_statuses, depth, stats = COMPLETION_CASES[case_id]
+    assert outcome.heuristic_depth == heuristic
+    assert statuses == expected_statuses
+    assert (outcome.depth, outcome.proved_optimal) == (depth, True)
+    assert len(outcome.queries) == len(expected_statuses)
+    assert [s.stats.as_dict() for s in solvers if s.stats.solve_calls] == [
+        stats
+    ]
+
+
+@pytest.mark.parametrize("case_id", sorted(COVER_CASES))
+def test_cover_search_is_pinned(case_id, monkeypatch):
+    matrix = {
+        inst.case_id: inst
+        for inst in build_corpus(None, profile="quick", seed=2024)
+    }[case_id].matrix
+    solvers, statuses = _record_solves(monkeypatch)
+    result = minimum_cover(matrix, trials=1, seed=2024)
+    heuristic, expected_statuses, depth, stats = COVER_CASES[case_id]
+    assert result.heuristic_depth == heuristic
+    assert statuses == expected_statuses
+    assert (result.depth, result.proved_optimal) == (depth, True)
+    assert len(result.queries) == len(expected_statuses)
+    assert [s.stats.as_dict() for s in solvers if s.stats.solve_calls] == [
+        stats
     ]
