@@ -481,31 +481,35 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     from repro.core.reductions import reduce_matrix
     from repro.sat.proof import proof_stats
-    from repro.sat.solver import SolveStatus
-    from repro.smt.oracle import RankDecisionOracle
+    from repro.smt.oracle import RankDecisionOracle, descend
+    from repro.utils.timing import Deadline
 
     matrix = _read_pattern(args.pattern)
-    upper = row_packing(
+    best = row_packing(
         matrix, options=PackingOptions(trials=args.trials, seed=args.seed)
-    ).depth
+    )
     lower = rank_lower_bound(matrix)
-    if upper <= lower:
-        print(f"binary rank {upper} certified by Eq. 3 alone; no SAT proof needed")
+    if best.depth <= lower:
+        print(
+            f"binary rank {best.depth} certified by Eq. 3 alone; "
+            "no SAT proof needed"
+        )
         return 0
     reduced = reduce_matrix(matrix)
     oracle = RankDecisionOracle(reduced.matrix, proof=True)
-    bound = upper - 1
-    while bound >= lower:
-        status, partition = oracle.check_at_most(bound, time_budget=args.budget)
-        if status is SolveStatus.SAT:
-            bound = partition.depth - 1
-            continue
-        if status is SolveStatus.UNSAT:
-            break
-        print(f"budget exhausted; binary rank in [{lower}, {bound + 1}]")
+
+    def accept(partition):
+        partition = reduced.lift(partition)
+        partition.validate(matrix)
+        return partition
+
+    best, proved = descend(
+        oracle, best, lower, accept, deadline=Deadline(args.budget)
+    )
+    if not proved:
+        print(f"budget exhausted; binary rank in [{lower}, {best.depth}]")
         return 1
-    rank = bound + 1
-    print(f"binary rank: {rank}")
+    print(f"binary rank: {best.depth}")
     if oracle.proof_log is not None and oracle.proof_log.refuted:
         stats = proof_stats(oracle.proof_log)
         oracle.verify_refutation()
@@ -601,7 +605,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("pattern", help="pattern file, or '-' for stdin")
         p.add_argument("--trials", type=int, default=32)
         p.add_argument("--seed", type=int, default=2024)
-        p.add_argument("--budget", type=float, default=30.0)
+        p.add_argument(
+            "--budget", type=float, default=30.0,
+            help="wall-clock budget for the whole command, in seconds "
+            "(default 30)",
+        )
 
     p_rank = sub.add_parser("rank", help="bounds and exact binary rank")
     common(p_rank)

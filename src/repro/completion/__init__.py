@@ -1,7 +1,6 @@
 """Binary matrix completion: addressing with don't-care vacancies."""
 
 from repro.completion.exact import (
-    MaskedEncoder,
     MaskedOutcome,
     masked_minimum_addressing,
 )
@@ -16,7 +15,6 @@ from repro.completion.masked import (
 )
 
 __all__ = [
-    "MaskedEncoder",
     "MaskedMatrix",
     "MaskedOutcome",
     "masked_fooling_number",

@@ -1,8 +1,8 @@
 """Exact minimum addressing with don't-cares (binary matrix completion).
 
-The label-based SAT encoding of :mod:`repro.smt.encoder` generalizes
-directly: for 1-cells ``(i, j)`` and ``(i', j')`` in distinct rows and
-columns,
+The label encoding is :class:`repro.smt.encoder.DirectEncoder` with
+``free`` set to the 1s plus the don't-cares: for 1-cells ``(i, j)`` and
+``(i', j')`` in distinct rows and columns,
 
 * sharing a rectangle is forbidden when a cross cell is a hard 0,
 * sharing forces any cross cell that is a required 1 into the same
@@ -12,14 +12,14 @@ columns,
 
 Label classes are then rectangles whose spans avoid 0s and whose 1-cells
 are exactly the class members, so the decoded rectangles may overlap on
-don't-cares only — the physical semantics of vacant sites.
+don't-cares only — the physical semantics of vacant sites.  The search
+is :func:`repro.smt.oracle.descend`, SAP's own descent.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.completion.heuristic import masked_row_packing
 from repro.completion.masked import (
@@ -27,143 +27,11 @@ from repro.completion.masked import (
     masked_fooling_number,
     validate_masked_partition,
 )
-from repro.core.exceptions import EncodingError, SolverError
 from repro.core.partition import Partition
-from repro.sat.cardinality import exactly_one
-from repro.sat.solver import CdclSolver, SolveStatus
+from repro.smt.oracle import OracleQuery, RankDecisionOracle, descend
 from repro.solvers.row_packing import PackingOptions
 from repro.utils.rng import RngLike
 from repro.utils.timing import Deadline
-
-Cell = Tuple[int, int]
-
-
-class MaskedEncoder:
-    """One-hot encoding of "masked depth <= bound"."""
-
-    def __init__(
-        self,
-        masked: MaskedMatrix,
-        bound: int,
-        *,
-        symmetry: str = "precedence",
-        amo_encoding: str = "auto",
-    ) -> None:
-        if bound < 0:
-            raise EncodingError(f"bound must be >= 0, got {bound}")
-        self.masked = masked
-        self.cells: List[Cell] = list(masked.ones())
-        self.bound = bound
-        self.solver = CdclSolver()
-        self._trivially_unsat = False
-
-        if not self.cells:
-            return
-        if bound == 0:
-            self._trivially_unsat = True
-            return
-
-        ones = masked.ones_matrix
-        free = masked.free_matrix()
-        index = {cell: t for t, cell in enumerate(self.cells)}
-        num_cells = len(self.cells)
-
-        self._vars = [
-            [self.solver.new_var() for _ in range(bound)]
-            for _ in range(num_cells)
-        ]
-        for t in range(num_cells):
-            literals = self._vars[t]
-            if symmetry in ("restricted", "precedence"):
-                usable = literals[: min(bound, t + 1)]
-                for banned in literals[len(usable) :]:
-                    self.solver.add_clause([-banned])
-            else:
-                usable = literals
-            exactly_one(self.solver, usable, encoding=amo_encoding)
-        if symmetry == "precedence":
-            for t in range(num_cells):
-                for k in range(1, min(bound, t + 1)):
-                    clause = [-self._vars[t][k]]
-                    clause.extend(
-                        self._vars[s][k - 1] for s in range(k - 1, t)
-                    )
-                    self.solver.add_clause(clause)
-
-        for a in range(num_cells):
-            i, j = self.cells[a]
-            for b in range(a + 1, num_cells):
-                i2, j2 = self.cells[b]
-                if i == i2 or j == j2:
-                    continue
-                crosses = ((i, j2), (i2, j))
-                if any(free[x, y] == 0 for x, y in crosses):
-                    for k in range(bound):
-                        self.solver.add_clause(
-                            [-self._vars[a][k], -self._vars[b][k]]
-                        )
-                    continue
-                for x, y in crosses:
-                    if ones[x, y] == 1:
-                        cross_index = index[(x, y)]
-                        for k in range(bound):
-                            self.solver.add_clause(
-                                [
-                                    -self._vars[a][k],
-                                    -self._vars[b][k],
-                                    self._vars[cross_index][k],
-                                ]
-                            )
-
-    def narrow_to(self, bound: int) -> None:
-        if bound > self.bound:
-            raise EncodingError(
-                f"cannot widen from {self.bound} to {bound}"
-            )
-        if not self.cells:
-            self.bound = bound
-            return
-        if bound == 0:
-            self._trivially_unsat = True
-            self.bound = 0
-            return
-        for t in range(len(self.cells)):
-            for k in range(bound, self.bound):
-                self.solver.add_clause([-self._vars[t][k]])
-        self.bound = bound
-
-    def solve(
-        self,
-        *,
-        conflict_budget: Optional[int] = None,
-        time_budget: Optional[float] = None,
-    ) -> SolveStatus:
-        if not self.cells:
-            return SolveStatus.SAT
-        if self._trivially_unsat:
-            return SolveStatus.UNSAT
-        return self.solver.solve(
-            conflict_budget=conflict_budget, time_budget=time_budget
-        )
-
-    def extract_partition(self) -> Partition:
-        if not self.cells:
-            return Partition([], self.masked.shape)
-        labels: Dict[Cell, int] = {}
-        for t, cell in enumerate(self.cells):
-            assigned = [
-                k
-                for k in range(self.bound)
-                if self.solver.model_value(self._vars[t][k])
-            ]
-            if len(assigned) != 1:
-                raise SolverError(
-                    f"cell {cell} has {len(assigned)} labels in the model"
-                )
-            labels[cell] = assigned[0]
-        partition = Partition.from_assignment(self.masked.ones_matrix, labels)
-        validate_masked_partition(self.masked, partition)
-        return partition
 
 
 @dataclass
@@ -174,7 +42,7 @@ class MaskedOutcome:
     proved_optimal: bool
     lower_bound: int
     heuristic_depth: int
-    queries: List[Tuple[int, str, float]] = field(default_factory=list)
+    queries: List[OracleQuery] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -199,39 +67,21 @@ def masked_minimum_addressing(
         masked, options=PackingOptions(trials=trials, seed=seed)
     )
     lower = masked_fooling_number(masked)
-    deadline = Deadline(time_budget)
-    best = heuristic
-    queries: List[Tuple[int, str, float]] = []
-    proved = best.depth <= lower
+    oracle = RankDecisionOracle(
+        masked.ones_matrix, symmetry=symmetry, free=masked.free_matrix()
+    )
 
-    encoder: Optional[MaskedEncoder] = None
-    bound = best.depth - 1
-    while not proved and bound >= lower:
-        if deadline.expired():
-            break
-        started = time.perf_counter()
-        if encoder is None:
-            encoder = MaskedEncoder(masked, bound, symmetry=symmetry)
-        else:
-            encoder.narrow_to(bound)
-        status = encoder.solve(time_budget=deadline.remaining())
-        queries.append(
-            (bound, status.value, time.perf_counter() - started)
-        )
-        if status is SolveStatus.SAT:
-            best = encoder.extract_partition()
-            bound = best.depth - 1
-        elif status is SolveStatus.UNSAT:
-            proved = True
-        else:
-            break
-    else:
-        proved = True
+    def accept(partition: Partition) -> Partition:
+        validate_masked_partition(masked, partition)
+        return partition
 
+    best, proved = descend(
+        oracle, heuristic, lower, accept, deadline=Deadline(time_budget)
+    )
     return MaskedOutcome(
         partition=best,
         proved_optimal=proved,
         lower_bound=lower,
         heuristic_depth=heuristic.depth,
-        queries=queries,
+        queries=oracle.queries,
     )

@@ -1,7 +1,6 @@
 """Minimum rectangle cover (boolean rank) — the non-disjoint variant."""
 
 from repro.cover.exact import (
-    CoverEncoder,
     CoverResult,
     boolean_rank,
     minimum_cover,
@@ -16,7 +15,6 @@ from repro.cover.maximal import is_maximal, maximal_rectangles
 from repro.cover.validate import is_valid_cover, validate_cover
 
 __all__ = [
-    "CoverEncoder",
     "CoverResult",
     "FractionalCoverResult",
     "fractional_cover",

@@ -1,10 +1,12 @@
 """Exact boolean rank (minimum rectangle cover) via SAT.
 
-The label encoding relaxes the partition encoder: each 1-cell may carry
-*several* labels (at-least-one instead of exactly-one), and two cells
-sharing a label need only have all-ones cross cells — no closure pull,
-because overlaps are legal.  Label classes decode to their spans, which
-the pair constraints keep inside the 1s.
+The label encoding is :class:`repro.smt.encoder.DirectEncoder` with
+``cover=True``, a relaxation of the partition formula: each 1-cell may
+carry *several* labels (at-least-one instead of exactly-one), and two
+cells sharing a label need only have all-ones cross cells — no closure
+pull, because overlaps are legal.  Label classes decode to their spans,
+which the pair constraints keep inside the 1s.  The search is
+:func:`repro.smt.oracle.descend`, SAP's own descent.
 
 Lower bound: fooling sets remain sound for covers (two fooling cells
 cannot share any rectangle); the real-rank bound of Eq. 3 does *not*
@@ -14,122 +16,18 @@ tests pin down.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.bounds import fooling_lower_bound
-from repro.core.exceptions import EncodingError, SolverError
+from repro.core.exceptions import SolverError
 from repro.core.partition import Partition
 from repro.cover.greedy import greedy_cover
 from repro.cover.validate import validate_cover
-from repro.sat.solver import CdclSolver, SolveStatus
+from repro.smt.oracle import OracleQuery, RankDecisionOracle, descend
 from repro.utils.rng import RngLike
 from repro.utils.timing import Deadline
-
-Cell = Tuple[int, int]
-
-
-class CoverEncoder:
-    """One-hot-per-label encoding of "cover number <= bound"."""
-
-    def __init__(self, matrix: BinaryMatrix, bound: int) -> None:
-        if bound < 0:
-            raise EncodingError(f"bound must be >= 0, got {bound}")
-        self.matrix = matrix
-        self.cells: List[Cell] = list(matrix.ones())
-        self.bound = bound
-        self.solver = CdclSolver()
-        self._trivially_unsat = False
-
-        if not self.cells:
-            return
-        if bound == 0:
-            self._trivially_unsat = True
-            return
-
-        num_cells = len(self.cells)
-        self._vars = [
-            [self.solver.new_var() for _ in range(bound)]
-            for _ in range(num_cells)
-        ]
-        for t in range(num_cells):
-            usable = self._vars[t][: min(bound, t + 1)]
-            for banned in self._vars[t][len(usable) :]:
-                self.solver.add_clause([-banned])
-            self.solver.add_clause(usable)  # at least one label
-        # Cover-style precedence: label k first occurs no earlier than
-        # label k-1 (ties at the same cell allowed).
-        for t in range(num_cells):
-            for k in range(1, min(bound, t + 1)):
-                clause = [-self._vars[t][k]]
-                clause.extend(
-                    self._vars[s][k - 1] for s in range(k - 1, t + 1)
-                )
-                self.solver.add_clause(clause)
-
-        for a in range(num_cells):
-            i, j = self.cells[a]
-            for b in range(a + 1, num_cells):
-                i2, j2 = self.cells[b]
-                if i == i2 or j == j2:
-                    continue
-                if matrix[i, j2] == 0 or matrix[i2, j] == 0:
-                    for k in range(bound):
-                        self.solver.add_clause(
-                            [-self._vars[a][k], -self._vars[b][k]]
-                        )
-
-    def narrow_to(self, bound: int) -> None:
-        if bound > self.bound:
-            raise EncodingError(
-                f"cannot widen from {self.bound} to {bound}"
-            )
-        if not self.cells:
-            self.bound = bound
-            return
-        if bound == 0:
-            self._trivially_unsat = True
-            self.bound = 0
-            return
-        for t in range(len(self.cells)):
-            for k in range(bound, self.bound):
-                self.solver.add_clause([-self._vars[t][k]])
-        self.bound = bound
-
-    def solve(
-        self,
-        *,
-        conflict_budget: Optional[int] = None,
-        time_budget: Optional[float] = None,
-    ) -> SolveStatus:
-        if not self.cells:
-            return SolveStatus.SAT
-        if self._trivially_unsat:
-            return SolveStatus.UNSAT
-        return self.solver.solve(
-            conflict_budget=conflict_budget, time_budget=time_budget
-        )
-
-    def extract_cover(self) -> Partition:
-        if not self.cells:
-            return Partition([], self.matrix.shape)
-        groups: Dict[int, Tuple[int, int]] = {}
-        for t, (i, j) in enumerate(self.cells):
-            for k in range(self.bound):
-                if self.solver.model_value(self._vars[t][k]):
-                    row_mask, col_mask = groups.get(k, (0, 0))
-                    groups[k] = (row_mask | (1 << i), col_mask | (1 << j))
-        from repro.core.rectangle import Rectangle
-
-        rects = [
-            Rectangle(row_mask, col_mask)
-            for _, (row_mask, col_mask) in sorted(groups.items())
-        ]
-        cover = Partition(rects, self.matrix.shape)
-        validate_cover(self.matrix, cover)
-        return cover
 
 
 @dataclass
@@ -138,7 +36,7 @@ class CoverResult:
     proved_optimal: bool
     lower_bound: int
     heuristic_depth: int
-    queries: List[Tuple[int, str, float]] = field(default_factory=list)
+    queries: List[OracleQuery] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -166,39 +64,21 @@ def minimum_cover(
         )
     heuristic = greedy_cover(matrix, trials=trials, seed=seed)
     lower = fooling_lower_bound(matrix, seed=seed)
-    deadline = Deadline(time_budget)
-    best = heuristic
-    queries: List[Tuple[int, str, float]] = []
-    proved = best.depth <= lower
+    oracle = RankDecisionOracle(matrix, cover=True)
 
-    encoder: Optional[CoverEncoder] = None
-    bound = best.depth - 1
-    while not proved and bound >= lower:
-        if deadline.expired():
-            break
-        started = time.perf_counter()
-        if encoder is None:
-            encoder = CoverEncoder(matrix, bound)
-        else:
-            encoder.narrow_to(bound)
-        status = encoder.solve(time_budget=deadline.remaining())
-        queries.append((bound, status.value, time.perf_counter() - started))
-        if status is SolveStatus.SAT:
-            best = encoder.extract_cover()
-            bound = best.depth - 1
-        elif status is SolveStatus.UNSAT:
-            proved = True
-        else:
-            break
-    else:
-        proved = True
+    def accept(cover: Partition) -> Partition:
+        validate_cover(matrix, cover)
+        return cover
 
+    best, proved = descend(
+        oracle, heuristic, lower, accept, deadline=Deadline(time_budget)
+    )
     return CoverResult(
         cover=best,
         proved_optimal=proved,
         lower_bound=lower,
         heuristic_depth=heuristic.depth,
-        queries=queries,
+        queries=oracle.queries,
     )
 
 

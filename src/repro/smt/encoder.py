@@ -24,6 +24,21 @@ Two encodings are provided:
 
 Both support the paper's incremental narrowing (Algorithm 1, line 8):
 ``narrow_to(b)`` adds ``f(e) != b`` for every 1-cell.
+
+:class:`DirectEncoder` is the one label encoder for three problems.  Two
+inputs, both fixed by the problem, select the rule:
+
+* ``free`` — the cells a rectangle may cover (default: the 1s).
+  Sharing is forbidden when a cross cell lies outside ``free``; a cross
+  cell that is a 1 is pulled into the rectangle.  Binary matrix
+  completion (:mod:`repro.completion`) passes the 1s plus the vacancies,
+  so a don't-care cross cell imposes nothing.
+* ``cover`` — labels may overlap (minimum rectangle cover, the boolean
+  rank of :mod:`repro.cover`).  Each cell takes at least one label
+  instead of exactly one, sharing pulls in no cross cell, and label
+  ``k`` may first appear at the same cell as label ``k - 1``.
+
+With the defaults the formula is the paper's EBMF encoding above.
 """
 
 from __future__ import annotations
@@ -31,9 +46,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.binary_matrix import BinaryMatrix
-from repro.core.exceptions import EncodingError, SolverError
+from repro.core.exceptions import EncodingError
 from repro.core.partition import Partition
-from repro.sat.cardinality import exactly_one
+from repro.core.rectangle import Rectangle
+from repro.sat.cardinality import at_least_one, exactly_one
 from repro.sat.proof import ProofLog
 from repro.sat.solver import CdclSolver, SolveStatus
 from repro.sat.tseitin import encode_less_than_constant, gate_equals
@@ -43,12 +59,19 @@ Cell = Tuple[int, int]
 SYMMETRY_MODES = ("none", "restricted", "precedence")
 
 
-def _cell_pairs_constraints(matrix: BinaryMatrix, cells: Sequence[Cell]):
+def _cell_pairs_constraints(
+    matrix: BinaryMatrix,
+    cells: Sequence[Cell],
+    free: BinaryMatrix,
+    cover: bool,
+):
     """Classify all unordered cell pairs per Eq. 4.
 
-    Yields ``("conflict", e, e2)`` when the cells can never share a
-    rectangle and ``("closure", e, e2, cross)`` when sharing forces the
-    cross cell ``cross`` into the same rectangle.
+    Yields ``("conflict", e, e2, None)`` when the cells can never share
+    a rectangle (a cross cell lies outside ``free``) and
+    ``("closure", e, e2, cross)`` when sharing forces the cross cell
+    ``cross``, a 1 of ``matrix``, into the same rectangle.  A cover
+    (``cover=True``) pulls in no cross cell.
     """
     index = {cell: t for t, cell in enumerate(cells)}
     for a in range(len(cells)):
@@ -57,13 +80,13 @@ def _cell_pairs_constraints(matrix: BinaryMatrix, cells: Sequence[Cell]):
             i2, j2 = cells[b]
             if i == i2 or j == j2:
                 continue
-            cross_a = matrix[i, j2]
-            cross_b = matrix[i2, j]
-            if cross_a == 0 or cross_b == 0:
+            crosses = ((i, j2), (i2, j))
+            if free[crosses[0]] == 0 or free[crosses[1]] == 0:
                 yield ("conflict", a, b, None)
-            else:
-                yield ("closure", a, b, index[(i, j2)])
-                yield ("closure", a, b, index[(i2, j)])
+            elif not cover:
+                for cross in crosses:
+                    if matrix[cross]:
+                        yield ("closure", a, b, index[cross])
 
 
 class DirectEncoder:
@@ -81,6 +104,9 @@ class DirectEncoder:
     ``not use[b]`` — no clauses are added per query, so one solver
     serves bounds moving in *either* direction (SAP's ``assumption``
     descent bisects on it).
+
+    ``free`` and ``cover`` select the problem (see the module docstring):
+    the defaults encode a partition of ``matrix``.
     """
 
     def __init__(
@@ -92,6 +118,8 @@ class DirectEncoder:
         amo_encoding: str = "auto",
         proof: Optional[ProofLog] = None,
         indicators: bool = False,
+        free: Optional[BinaryMatrix] = None,
+        cover: bool = False,
     ) -> None:
         if bound < 0:
             raise EncodingError(f"bound must be >= 0, got {bound}")
@@ -140,18 +168,28 @@ class DirectEncoder:
                     self.solver.add_clause([-banned])
             else:
                 usable = literals
-            exactly_one(self.solver, usable, encoding=amo_encoding)
+            if cover:
+                at_least_one(self.solver, usable)
+            else:
+                exactly_one(self.solver, usable, encoding=amo_encoding)
 
         if symmetry == "precedence":
             # x[t][k] -> OR_{s<t} x[s][k-1]: label k may only be opened
-            # after label k-1 has been used by an earlier cell.
+            # after label k-1 has been used by an earlier cell, or, in a
+            # cover, by the same cell.
+            shared = 1 if cover else 0
             for t in range(num_cells):
                 for k in range(1, min(bound, t + 1)):
                     clause = [-self._vars[t][k]]
-                    clause.extend(self._vars[s][k - 1] for s in range(k - 1, t))
+                    clause.extend(
+                        self._vars[s][k - 1] for s in range(k - 1, t + shared)
+                    )
                     self.solver.add_clause(clause)
 
-        for kind, a, b, cross in _cell_pairs_constraints(matrix, self.cells):
+        pairs = _cell_pairs_constraints(
+            matrix, self.cells, matrix if free is None else free, cover
+        )
+        for kind, a, b, cross in pairs:
             if kind == "conflict":
                 for k in range(bound):
                     self.solver.add_clause(
@@ -225,21 +263,28 @@ class DirectEncoder:
             time_budget=time_budget,
         )
 
+    def decode(self) -> Partition:
+        """The last SAT model's rectangles, one per label in label order,
+        each spanning the rows and columns of its cells.
+
+        Not validated: the caller checks the answer against its own
+        problem (a partition, a masked partition or a cover).
+        """
+        groups: Dict[int, Tuple[int, int]] = {}
+        for t, (i, j) in enumerate(self.cells):
+            for k in range(self.bound):
+                if self.solver.model_value(self._vars[t][k]):
+                    row_mask, col_mask = groups.get(k, (0, 0))
+                    groups[k] = (row_mask | (1 << i), col_mask | (1 << j))
+        rects = [
+            Rectangle(row_mask, col_mask)
+            for _, (row_mask, col_mask) in sorted(groups.items())
+        ]
+        return Partition(rects, self.matrix.shape)
+
     def extract_partition(self) -> Partition:
         """Decode the last SAT model into a validated partition."""
-        if not self.cells:
-            return Partition([], self.matrix.shape)
-        labels: Dict[Cell, int] = {}
-        for t, cell in enumerate(self.cells):
-            assigned = [
-                k for k in range(self.bound) if self.solver.model_value(self._vars[t][k])
-            ]
-            if len(assigned) != 1:
-                raise SolverError(
-                    f"cell {cell} has {len(assigned)} labels in the model"
-                )
-            labels[cell] = assigned[0]
-        partition = Partition.from_assignment(self.matrix, labels)
+        partition = self.decode()
         partition.validate(self.matrix)
         return partition
 
@@ -284,7 +329,8 @@ class BinaryLabelEncoder:
             encode_less_than_constant(self.solver, bits, bound)
 
         self._eq_cache: Dict[Tuple[int, int], int] = {}
-        for kind, a, b, cross in _cell_pairs_constraints(matrix, self.cells):
+        pairs = _cell_pairs_constraints(matrix, self.cells, matrix, False)
+        for kind, a, b, cross in pairs:
             if kind == "conflict":
                 eq = self._equality(a, b)
                 self.solver.add_clause([-eq])
@@ -336,9 +382,8 @@ class BinaryLabelEncoder:
             time_budget=time_budget,
         )
 
-    def extract_partition(self) -> Partition:
-        if not self.cells:
-            return Partition([], self.matrix.shape)
+    def decode(self) -> Partition:
+        """The last SAT model's rectangles (not validated)."""
         labels: Dict[Cell, int] = {}
         for t, cell in enumerate(self.cells):
             value = 0
@@ -346,7 +391,11 @@ class BinaryLabelEncoder:
                 if self.solver.model_value(var):
                     value |= 1 << position
             labels[cell] = value
-        partition = Partition.from_assignment(self.matrix, labels)
+        return Partition.from_assignment(self.matrix, labels)
+
+    def extract_partition(self) -> Partition:
+        """Decode the last SAT model into a validated partition."""
+        partition = self.decode()
         partition.validate(self.matrix)
         return partition
 
@@ -360,6 +409,8 @@ def make_encoder(
     amo_encoding: str = "auto",
     proof: Optional[ProofLog] = None,
     indicators: bool = False,
+    free: Optional[BinaryMatrix] = None,
+    cover: bool = False,
 ):
     """Factory over the two encoders (``direct`` | ``binary``)."""
     if encoding == "direct":
@@ -370,11 +421,17 @@ def make_encoder(
             amo_encoding=amo_encoding,
             proof=proof,
             indicators=indicators,
+            free=free,
+            cover=cover,
         )
     if encoding == "binary":
         if indicators:
             raise EncodingError(
                 "usage indicators require the direct encoding"
+            )
+        if free is not None or cover:
+            raise EncodingError(
+                "don't-cares and covers require the direct encoding"
             )
         return BinaryLabelEncoder(matrix, bound, proof=proof)
     raise EncodingError(f"unknown encoding {encoding!r}")

@@ -11,12 +11,17 @@ one long-lived solver.  Two query mechanisms are supported:
   label-usage indicators and every bound becomes a one-literal
   assumption, so queries may move the bound in either direction — this
   is what lets SAP bisect on a single incremental solver.
+
+:func:`descend` is Algorithm 1's loop over such an oracle.  SAP's linear
+descent, ``repro audit``, binary matrix completion and the minimum
+rectangle cover all run it; each passes its own bounds and its own
+check of the answers it keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import EncodingError
@@ -24,6 +29,7 @@ from repro.core.partition import Partition
 from repro.sat.proof import ProofLog
 from repro.sat.solver import SolveStatus
 from repro.smt.encoder import make_encoder
+from repro.utils.timing import Deadline
 
 QUERY_MODES = ("narrow", "assumption")
 
@@ -47,7 +53,9 @@ class RankDecisionOracle:
     A2 compares the two modes).  ``proof=True`` attaches a clausal proof
     log to each underlying solver so UNSAT answers can be audited with
     :func:`repro.sat.proof.check_refutation` (narrow mode only — an
-    assumption-mode UNSAT is conditional, not a refutation).
+    assumption-mode UNSAT is conditional, not a refutation).  ``free``
+    and ``cover`` pass through to the encoder and turn the question
+    into binary matrix completion or the minimum rectangle cover.
     """
 
     matrix: BinaryMatrix
@@ -57,6 +65,8 @@ class RankDecisionOracle:
     incremental: bool = True
     query_mode: str = "narrow"
     proof: bool = False
+    free: Optional[BinaryMatrix] = None
+    cover: bool = False
     queries: List[OracleQuery] = field(default_factory=list)
     proof_log: Optional[ProofLog] = None
     _encoder: Optional[object] = None
@@ -85,9 +95,13 @@ class RankDecisionOracle:
         conflict_budget: Optional[int] = None,
         time_budget: Optional[float] = None,
     ) -> Tuple[SolveStatus, Optional[Partition]]:
-        """Is there an EBMF of size <= ``bound``?  Returns the partition
-        on SAT.  In narrow mode bounds must not increase across calls;
-        assumption mode accepts any bound at or below the first one.
+        """Is there an answer with at most ``bound`` rectangles?
+
+        Returns the decoded model on SAT.  It is not validated yet: the
+        caller checks it against its own problem, as :func:`descend`'s
+        ``accept`` does.  In narrow mode bounds must not increase across
+        calls; assumption mode accepts any bound at or below the first
+        one.
         """
         import time
 
@@ -99,9 +113,7 @@ class RankDecisionOracle:
             conflict_budget=conflict_budget,
             time_budget=time_budget,
         )
-        partition = None
-        if status is SolveStatus.SAT:
-            partition = encoder.extract_partition()
+        answer = encoder.decode() if status is SolveStatus.SAT else None
         self.queries.append(
             OracleQuery(
                 bound=bound,
@@ -110,7 +122,7 @@ class RankDecisionOracle:
                 conflicts=encoder.solver.stats.conflicts - conflicts_before,
             )
         )
-        return status, partition
+        return status, answer
 
     def prime(self, bound: int) -> None:
         """Pre-build the formula at ``bound`` without solving.
@@ -154,6 +166,8 @@ class RankDecisionOracle:
             amo_encoding=self.amo_encoding,
             proof=self.proof_log,
             indicators=self.query_mode == "assumption",
+            free=self.free,
+            cover=self.cover,
         )
 
     def verify_refutation(self) -> None:
@@ -173,3 +187,39 @@ class RankDecisionOracle:
     @property
     def total_seconds(self) -> float:
         return sum(query.seconds for query in self.queries)
+
+
+def descend(
+    oracle: RankDecisionOracle,
+    best: Partition,
+    lower: int,
+    accept: Callable[[Partition], Partition],
+    *,
+    deadline: Deadline,
+    conflict_budget: Optional[int] = None,
+) -> Tuple[Partition, bool]:
+    """Algorithm 1's descent: ask ``b = |best| - 1, |best| - 2, ...``.
+
+    ``accept`` turns each SAT answer into the new ``best``: it lifts the
+    answer where needed and validates it against the caller's problem,
+    raising if it is invalid.  The descent stops at the first UNSAT
+    (``best`` is optimal), when ``b`` falls below ``lower`` (optimal by
+    that bound), or when the deadline or a query's conflict budget runs
+    out.  Returns ``(best, proved)``.
+    """
+    bound = best.depth - 1
+    while bound >= lower:
+        if deadline.expired():
+            return best, False
+        status, answer = oracle.check_at_most(
+            bound,
+            conflict_budget=conflict_budget,
+            time_budget=deadline.remaining(),
+        )
+        if status is SolveStatus.UNSAT:
+            return best, True
+        if status is not SolveStatus.SAT:  # a budget ran out mid-query
+            return best, False
+        best = accept(answer)
+        bound = best.depth - 1
+    return best, True

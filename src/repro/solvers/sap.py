@@ -4,7 +4,8 @@ Row packing supplies a valid EBMF ``P`` (upper bound); the exact-rank
 lower bound (Eq. 3) brackets the optimum from below.  The decision
 oracle is then queried with ``b = |P| - 1, |P| - 2, ...``, keeping the
 best partition found, until a query is unsatisfiable (``P`` proven
-optimal) or ``b`` falls below the lower bound (optimal by Eq. 3).  The
+optimal) or ``b`` falls below the lower bound (optimal by Eq. 3); that
+loop is :func:`repro.smt.oracle.descend`.  The
 result always carries the best partition found so far, so interrupting
 on a budget still yields a valid solution (paper Observation 5's
 "terminate at any time" property).
@@ -28,7 +29,7 @@ from repro.core.bounds import fooling_lower_bound, rank_lower_bound
 from repro.core.partition import Partition
 from repro.core.reductions import reduce_matrix
 from repro.sat.solver import SolveStatus
-from repro.smt.oracle import OracleQuery, RankDecisionOracle
+from repro.smt.oracle import OracleQuery, RankDecisionOracle, descend
 from repro.solvers.row_packing import PackingOptions, row_packing
 from repro.utils.rng import RngLike
 from repro.utils.timing import Deadline, Stopwatch
@@ -198,42 +199,25 @@ def sap_solve(
         query_mode=query_mode,
     )
 
-    def query(bound: int):
-        with watch.time("smt"):
-            return oracle.check_at_most(
-                bound,
-                conflict_budget=options.conflict_budget_per_query,
-                time_budget=deadline.remaining(),
-            )
-
     def accept(partition: Partition) -> Partition:
         if reduced is not None:
             partition = reduced.lift(partition)
         partition.validate(matrix)
         return partition
 
-    status = SapStatus.FEASIBLE
     if options.descent == "linear":
-        bound = best.depth - 1
-        while bound >= lower:
-            if deadline.expired():
-                break
-            query_status, partition = query(bound)
-            if query_status is SolveStatus.SAT:
-                assert partition is not None
-                best = accept(partition)
-                bound = best.depth - 1
-            elif query_status is SolveStatus.UNSAT:
-                status = SapStatus.OPTIMAL
-                break
-            else:  # budget exhausted inside the solver
-                break
-        else:
-            # Loop fell through: bound < lower, |best| == lower: optimal.
-            status = SapStatus.OPTIMAL
+        with watch.time("smt"):
+            best, proved = descend(
+                oracle,
+                best,
+                lower,
+                accept,
+                deadline=deadline,
+                conflict_budget=options.conflict_budget_per_query,
+            )
     else:  # binary | assumption: bisect [lower, depth-1]
         low, high = lower, best.depth - 1  # r_B known to be in [low, high+1]
-        interrupted = False
+        proved = True
         if options.descent == "assumption" and low <= high:
             # Build the formula once at the widest bound the search can
             # ask about; later queries only tighten it by assumption.
@@ -241,25 +225,27 @@ def sap_solve(
                 oracle.prime(high)
         while low <= high:
             if deadline.expired():
-                interrupted = True
+                proved = False
                 break
             middle = (low + high) // 2
-            query_status, partition = query(middle)
+            with watch.time("smt"):
+                query_status, partition = oracle.check_at_most(
+                    middle,
+                    conflict_budget=options.conflict_budget_per_query,
+                    time_budget=deadline.remaining(),
+                )
             if query_status is SolveStatus.SAT:
-                assert partition is not None
                 best = accept(partition)
                 high = best.depth - 1
             elif query_status is SolveStatus.UNSAT:
                 low = middle + 1
             else:
-                interrupted = True
+                proved = False
                 break
-        if not interrupted:
-            status = SapStatus.OPTIMAL
 
     return SapResult(
         partition=best,
-        status=status,
+        status=SapStatus.OPTIMAL if proved else SapStatus.FEASIBLE,
         lower_bound=lower,
         heuristic_depth=heuristic_depth,
         queries=list(oracle.queries),

@@ -1,10 +1,22 @@
 """Unit tests for exact masked addressing (binary matrix completion)."""
 
-from repro.completion.exact import MaskedEncoder, masked_minimum_addressing
+from repro.completion.exact import masked_minimum_addressing
 from repro.completion.masked import MaskedMatrix, validate_masked_partition
 from repro.core.binary_matrix import BinaryMatrix
 from repro.sat.solver import SolveStatus
+from repro.smt.encoder import DirectEncoder
 from repro.solvers.sap import sap_solve
+
+
+def masked_encoder(masked, bound):
+    """The label encoder for ``masked``: don't-cares are free cells."""
+    return DirectEncoder(masked.ones_matrix, bound, free=masked.free_matrix())
+
+
+def extract_masked(encoder, masked):
+    partition = encoder.decode()
+    validate_masked_partition(masked, partition)
+    return partition
 
 
 class TestMaskedEncoder:
@@ -12,28 +24,28 @@ class TestMaskedEncoder:
         """[[1,*],[*,1]] has a 1-rectangle cover; without the stars the
         identity needs 2."""
         masked = MaskedMatrix.from_strings(["1*", "*1"])
-        encoder = MaskedEncoder(masked, 1)
+        encoder = masked_encoder(masked, 1)
         assert encoder.solve() is SolveStatus.SAT
-        partition = encoder.extract_partition()
+        partition = extract_masked(encoder, masked)
         validate_masked_partition(masked, partition)
         assert partition.depth == 1
 
     def test_hard_zero_blocks_merge(self):
         masked = MaskedMatrix.from_strings(["10", "01"])
-        encoder = MaskedEncoder(masked, 1)
+        encoder = masked_encoder(masked, 1)
         assert encoder.solve() is SolveStatus.UNSAT
-        assert MaskedEncoder(masked, 2).solve() is SolveStatus.SAT
+        assert masked_encoder(masked, 2).solve() is SolveStatus.SAT
 
     def test_cross_one_pulled_into_rectangle(self):
         # cells (0,0) and (1,1) sharing forces (0,1) and (1,0) in too
         masked = MaskedMatrix.from_strings(["11", "11"])
-        encoder = MaskedEncoder(masked, 1)
+        encoder = masked_encoder(masked, 1)
         assert encoder.solve() is SolveStatus.SAT
-        assert encoder.extract_partition().depth == 1
+        assert extract_masked(encoder, masked).depth == 1
 
     def test_narrowing(self):
         masked = MaskedMatrix.from_strings(["10", "01"])
-        encoder = MaskedEncoder(masked, 3)
+        encoder = masked_encoder(masked, 3)
         assert encoder.solve() is SolveStatus.SAT
         encoder.narrow_to(2)
         assert encoder.solve() is SolveStatus.SAT
@@ -42,9 +54,9 @@ class TestMaskedEncoder:
 
     def test_empty(self):
         masked = MaskedMatrix.from_strings(["**"])
-        encoder = MaskedEncoder(masked, 0)
+        encoder = masked_encoder(masked, 0)
         assert encoder.solve() is SolveStatus.SAT
-        assert encoder.extract_partition().depth == 0
+        assert extract_masked(encoder, masked).depth == 0
 
 
 class TestMaskedMinimumAddressing:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import EncodingError
 from repro.core.paper_matrices import equation_2, figure_1b
+from repro.cover.validate import validate_cover
 from repro.sat.solver import SolveStatus
 from repro.smt.encoder import (
     BinaryLabelEncoder,
@@ -157,3 +158,29 @@ class TestFactory:
     def test_unknown(self):
         with pytest.raises(EncodingError):
             make_encoder(equation_2(), 3, encoding="cp")
+
+
+class TestCover:
+    """``cover=True``: labels may overlap (boolean rank)."""
+
+    MATRIX = BinaryMatrix.from_strings(["110", "111", "011"])
+
+    def test_two_overlapping_rectangles(self):
+        encoder = DirectEncoder(self.MATRIX, 2, cover=True)
+        assert encoder.solve() is SolveStatus.SAT
+        cover = encoder.decode()
+        validate_cover(self.MATRIX, cover)
+        assert cover.depth == 2
+        first, second = cover
+        assert first.contains(1, 1) and second.contains(1, 1)
+
+    def test_partition_formula_needs_more(self):
+        assert DirectEncoder(self.MATRIX, 2).solve() is SolveStatus.UNSAT
+
+    def test_binary_encoding_rejects_free_and_cover(self):
+        with pytest.raises(EncodingError):
+            make_encoder(self.MATRIX, 2, encoding="binary", cover=True)
+        with pytest.raises(EncodingError):
+            make_encoder(
+                self.MATRIX, 2, encoding="binary", free=self.MATRIX
+            )

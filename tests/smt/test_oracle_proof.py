@@ -2,10 +2,37 @@
 
 import pytest
 
+from repro.completion import (
+    MaskedMatrix,
+    masked_fooling_number,
+    masked_row_packing,
+    validate_masked_partition,
+)
+from repro.core.binary_matrix import BinaryMatrix
+from repro.core.bounds import fooling_lower_bound
 from repro.core.exceptions import ProofError
 from repro.core.paper_matrices import equation_2, figure_1b
+from repro.corpus.registry import build_corpus
+from repro.cover import greedy_cover, validate_cover
 from repro.sat.solver import SolveStatus
-from repro.smt.oracle import RankDecisionOracle
+from repro.smt.oracle import RankDecisionOracle, descend
+from repro.solvers.row_packing import PackingOptions
+from repro.utils.timing import Deadline
+
+
+def _quick_instance(case_id, families=None):
+    return {
+        inst.case_id: inst
+        for inst in build_corpus(families, profile="quick", seed=2024)
+    }[case_id].matrix
+
+
+def _validated(check):
+    def accept(answer):
+        check(answer)
+        return answer
+
+    return accept
 
 
 class TestOracleProof:
@@ -53,3 +80,54 @@ class TestOracleProof:
         # Conditional on the assumption literal: no standalone proof.
         with pytest.raises(ProofError):
             oracle.verify_refutation()
+
+
+class TestDescentRefutations:
+    """Completion and cover descents log checkable refutations too."""
+
+    def test_completion_descent(self):
+        matrix = _quick_instance("gap-10x10-p3-0", ["table1-gap"])
+        rows, cols = matrix.shape
+        dont_care = BinaryMatrix(
+            [
+                sum(
+                    1 << j
+                    for j in range(cols)
+                    if (i + 2 * j) % 5 == 0
+                    and not (matrix.row_mask(i) >> j) & 1
+                )
+                for i in range(rows)
+            ],
+            cols,
+        )
+        masked = MaskedMatrix(matrix, dont_care)
+        oracle = RankDecisionOracle(
+            masked.ones_matrix, free=masked.free_matrix(), proof=True
+        )
+        start = masked_row_packing(
+            masked, options=PackingOptions(trials=2, seed=2024)
+        )
+        _, proved = descend(
+            oracle,
+            start,
+            masked_fooling_number(masked),
+            _validated(lambda p: validate_masked_partition(masked, p)),
+            deadline=Deadline(None),
+        )
+        last = oracle.queries[-1]
+        assert proved and (last.bound, last.status) == (6, SolveStatus.UNSAT)
+        oracle.verify_refutation()
+
+    def test_cover_descent(self):
+        matrix = _quick_instance("fool-complement-8")
+        oracle = RankDecisionOracle(matrix, cover=True, proof=True)
+        _, proved = descend(
+            oracle,
+            greedy_cover(matrix, trials=1, seed=2024),
+            fooling_lower_bound(matrix, seed=2024),
+            _validated(lambda c: validate_cover(matrix, c)),
+            deadline=Deadline(None),
+        )
+        last = oracle.queries[-1]
+        assert proved and (last.bound, last.status) == (4, SolveStatus.UNSAT)
+        oracle.verify_refutation()
