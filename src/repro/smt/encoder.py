@@ -74,19 +74,19 @@ def _cell_pairs_constraints(
     (``cover=True``) pulls in no cross cell.
     """
     index = {cell: t for t, cell in enumerate(cells)}
+    free_rows, one_rows = free.row_masks, matrix.row_masks
     for a in range(len(cells)):
         i, j = cells[a]
         for b in range(a + 1, len(cells)):
             i2, j2 = cells[b]
             if i == i2 or j == j2:
                 continue
-            crosses = ((i, j2), (i2, j))
-            if free[crosses[0]] == 0 or free[crosses[1]] == 0:
+            if not (free_rows[i] >> j2 & 1 and free_rows[i2] >> j & 1):
                 yield ("conflict", a, b, None)
             elif not cover:
-                for cross in crosses:
-                    if matrix[cross]:
-                        yield ("closure", a, b, index[cross])
+                for x, y in ((i, j2), (i2, j)):
+                    if one_rows[x] >> y & 1:
+                        yield ("closure", a, b, index[(x, y)])
 
 
 class DirectEncoder:
