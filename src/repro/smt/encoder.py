@@ -39,6 +39,14 @@ inputs, both fixed by the problem, select the rule:
   ``k`` may first appear at the same cell as label ``k - 1``.
 
 With the defaults the formula is the paper's EBMF encoding above.
+
+A third input, ``first``, fixes the order in which :class:`DirectEncoder`
+numbers the 1-cells: the cells it lists come first, in the given order,
+then the other 1s in row-major order.  Symmetry breaking is sound for
+any fixed cell order, so ``first`` never changes an answer, only the
+search.  SAP passes a maximum fooling set: its cells pairwise conflict,
+so unit propagation pins them to labels ``0..f-1`` before the first
+decision (the graph-colouring trick of fixing a clique's colours).
 """
 
 from __future__ import annotations
@@ -57,6 +65,21 @@ from repro.sat.tseitin import encode_less_than_constant, gate_equals
 Cell = Tuple[int, int]
 
 SYMMETRY_MODES = ("none", "restricted", "precedence")
+
+
+def _cell_order(matrix: BinaryMatrix, first: Sequence[Cell]) -> List[Cell]:
+    """The 1-cells of ``matrix``: those in ``first``, in its order, then
+    the others in row-major order."""
+    ones = list(matrix.ones())
+    if not first:
+        return ones
+    leading = list(first)
+    chosen = set(leading)
+    if len(chosen) != len(leading) or not chosen.issubset(ones):
+        raise EncodingError(
+            f"first must list distinct 1-cells of the matrix, got {first!r}"
+        )
+    return leading + [cell for cell in ones if cell not in chosen]
 
 
 def _cell_pairs_constraints(
@@ -107,6 +130,15 @@ class DirectEncoder:
 
     ``free`` and ``cover`` select the problem (see the module docstring):
     the defaults encode a partition of ``matrix``.
+
+    ``first`` lists 1-cells to number before the rest, which follow in
+    row-major order.  Symmetry breaking holds for any fixed order:
+    relabelling a solution's rectangles by their first cell in that
+    order meets both the ``restricted`` and the ``precedence`` clauses.
+    So the order changes no answer.  A fooling set makes it strong:
+    cell ``t`` may take only labels ``0..t`` and conflicts with every
+    earlier cell of the set, so unit propagation forces it to label
+    ``t``.
     """
 
     def __init__(
@@ -120,6 +152,7 @@ class DirectEncoder:
         indicators: bool = False,
         free: Optional[BinaryMatrix] = None,
         cover: bool = False,
+        first: Sequence[Cell] = (),
     ) -> None:
         if bound < 0:
             raise EncodingError(f"bound must be >= 0, got {bound}")
@@ -129,7 +162,7 @@ class DirectEncoder:
                 f"expected one of {SYMMETRY_MODES}"
             )
         self.matrix = matrix
-        self.cells: List[Cell] = list(matrix.ones())
+        self.cells: List[Cell] = _cell_order(matrix, first)
         self.bound = bound
         self.symmetry = symmetry
         self.proof = proof
@@ -411,6 +444,7 @@ def make_encoder(
     indicators: bool = False,
     free: Optional[BinaryMatrix] = None,
     cover: bool = False,
+    first: Sequence[Cell] = (),
 ):
     """Factory over the two encoders (``direct`` | ``binary``)."""
     if encoding == "direct":
@@ -423,15 +457,17 @@ def make_encoder(
             indicators=indicators,
             free=free,
             cover=cover,
+            first=first,
         )
     if encoding == "binary":
         if indicators:
             raise EncodingError(
                 "usage indicators require the direct encoding"
             )
-        if free is not None or cover:
+        if free is not None or cover or first:
             raise EncodingError(
-                "don't-cares and covers require the direct encoding"
+                "don't-cares, covers and a cell order require the direct "
+                "encoding"
             )
         return BinaryLabelEncoder(matrix, bound, proof=proof)
     raise EncodingError(f"unknown encoding {encoding!r}")

@@ -21,7 +21,7 @@ check of the answers it keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import EncodingError
@@ -55,7 +55,8 @@ class RankDecisionOracle:
     :func:`repro.sat.proof.check_refutation` (narrow mode only — an
     assumption-mode UNSAT is conditional, not a refutation).  ``free``
     and ``cover`` pass through to the encoder and turn the question
-    into binary matrix completion or the minimum rectangle cover.
+    into binary matrix completion or the minimum rectangle cover;
+    ``first`` passes through too and orders the encoder's cells.
     """
 
     matrix: BinaryMatrix
@@ -67,6 +68,7 @@ class RankDecisionOracle:
     proof: bool = False
     free: Optional[BinaryMatrix] = None
     cover: bool = False
+    first: Sequence[Tuple[int, int]] = ()
     queries: List[OracleQuery] = field(default_factory=list)
     proof_log: Optional[ProofLog] = None
     _encoder: Optional[object] = None
@@ -168,6 +170,7 @@ class RankDecisionOracle:
             indicators=self.query_mode == "assumption",
             free=self.free,
             cover=self.cover,
+            first=self.first,
         )
 
     def verify_refutation(self) -> None:

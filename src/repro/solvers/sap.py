@@ -10,22 +10,30 @@ result always carries the best partition found so far, so interrupting
 on a budget still yields a valid solution (paper Observation 5's
 "terminate at any time" property).
 
-Two implementation notes beyond the paper's pseudocode:
+Three implementation notes beyond the paper's pseudocode:
 
 * the matrix is first compressed by removing empty/duplicate rows and
   columns — this preserves ``r_B`` exactly and shrinks the SMT encoding;
 * in incremental mode one solver instance survives the whole descent,
-  receiving the paper's ``f(e) != b`` narrowing clauses per step.
+  receiving the paper's ``f(e) != b`` narrowing clauses per step;
+* when the rank bound leaves a gap, a maximum fooling set of the
+  compressed matrix (Section II) is computed.  Its size is a second
+  lower bound, often enough to prove the packing optimal with no query.
+  Otherwise the label encoding numbers its cells first, so unit
+  propagation pins them to distinct labels before the first decision.
+  No answer changes; the UNSAT proofs shrink.  ``use_fooling_bound=
+  False`` keeps the paper's formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.binary_matrix import BinaryMatrix
-from repro.core.bounds import fooling_lower_bound, rank_lower_bound
+from repro.core.bounds import rank_lower_bound
+from repro.core.fooling import max_fooling_set
 from repro.core.partition import Partition
 from repro.core.reductions import reduce_matrix
 from repro.sat.solver import SolveStatus
@@ -57,6 +65,13 @@ class SapOptions:
     assumption over monotone label-usage indicators, so learned clauses
     carry across queries in both directions (requires the direct
     encoding).
+
+    ``use_fooling_bound`` (default on) computes one maximum fooling set
+    of the compressed matrix when the rank bound does not meet the
+    packing depth, and only while the time budget lasts.  Its size
+    raises the lower bound, and the direct encoding numbers its cells
+    first.  ``False`` is the paper's formula: the Eq. 3 bound alone and
+    the 1-cells in row-major order.
     """
 
     trials: int = 100
@@ -66,7 +81,7 @@ class SapOptions:
     amo_encoding: str = "auto"
     incremental: bool = True
     reduce: bool = True
-    use_fooling_bound: bool = False
+    use_fooling_bound: bool = True
     use_lp_bound: bool = False
     descent: str = "linear"
     time_budget: Optional[float] = None
@@ -151,18 +166,29 @@ def sap_solve(
         best = row_packing(matrix, options=options.packing_options())
     heuristic_depth = best.depth
 
-    # Eq. 3 lower bound (optionally strengthened by fooling sets and/or
-    # the fractional-cover LP).
+    # Eq. 3 lower bound (optionally strengthened by the fractional-cover
+    # LP).
     with watch.time("bounds"):
         lower = rank_lower_bound(matrix)
-        if options.use_fooling_bound:
-            lower = max(
-                lower, fooling_lower_bound(matrix, seed=options.seed)
-            )
         if options.use_lp_bound:
             from repro.cover.lp import lp_lower_bound
 
             lower = max(lower, lp_lower_bound(matrix))
+
+    # Solve on the compressed matrix; lift models back.  Identical rows
+    # or columns cannot both hold a fooling cell, so the compressed
+    # matrix has the same fooling number, and a smaller search for it.
+    reduced = None
+    smt_matrix = matrix
+    fooling: List[Tuple[int, int]] = []
+    if best.depth > lower:
+        if options.reduce:
+            reduced = reduce_matrix(matrix)
+            smt_matrix = reduced.matrix
+        if options.use_fooling_bound and not deadline.expired():
+            with watch.time("bounds"):
+                fooling = max_fooling_set(smt_matrix, seed=options.seed)
+            lower = max(lower, len(fooling))
 
     if best.depth <= lower:
         return SapResult(
@@ -172,14 +198,6 @@ def sap_solve(
             heuristic_depth=heuristic_depth,
             phase_seconds=dict(watch.totals),
         )
-
-    # Solve on the compressed matrix; lift models back.
-    if options.reduce:
-        reduced = reduce_matrix(matrix)
-        smt_matrix = reduced.matrix
-    else:
-        reduced = None
-        smt_matrix = matrix
 
     # Binary descent needs fresh solvers: bisection can raise the bound,
     # which the incremental narrowing clauses cannot undo.  Assumption
@@ -197,6 +215,7 @@ def sap_solve(
         amo_encoding=options.amo_encoding,
         incremental=incremental,
         query_mode=query_mode,
+        first=fooling if options.encoding == "direct" else (),
     )
 
     def accept(partition: Partition) -> Partition:

@@ -109,8 +109,12 @@ class TestObservation5:
 
     def test_unsat_query_dominates_conflicts(self):
         m = gap_matrix(10, 10, 4, seed=3)  # needs a real optimality proof
+        # Observation 5 is about the paper's solver: its formula.
         result = sap_solve(
-            m, options=SapOptions(trials=32, seed=0, time_budget=30)
+            m,
+            options=SapOptions(
+                trials=32, seed=0, time_budget=30, use_fooling_bound=False
+            ),
         )
         assert result.proved_optimal
         assert result.queries

@@ -8,6 +8,11 @@ these counters exactly; one that changes the search moves at least one
 of them.  The activity rescale only fires past about 4,500 conflicts,
 which none of these solves reaches.
 
+The SAP pins come in two sets.  ``SAP_CASES`` runs the paper's
+formula, recorded before SAP seeded its encoding with a fooling set;
+``SAP_FOOLING_CASES`` runs SAP's default, recorded when that seeding
+landed.
+
 The completion and cover pins were recorded while each of those
 problems still had its own label encoder and descent loop.  They find
 their solvers through ``CdclSolver`` itself, so they pin the formula
@@ -105,18 +110,26 @@ def test_narrowing_descent_is_pinned():
     assert encoder.solver.stats.as_dict() == _stats(11, 21, 510, 0, 7, 0, 3)
 
 
+# SAP with the paper's formula: the Eq. 3 bound, 1-cells in row-major
+# order.
 SAP_CASES = {
     "gap-10x10-p2-4": _stats(409, 725, 29528, 3, 403, 0),
     "gap-10x10-p2-8": _stats(146, 288, 9467, 1, 138, 0),
 }
+# SAP as it runs by default: a maximum fooling set raises the bound and
+# its cells are numbered first.  Each case still ends in one UNSAT query.
+SAP_FOOLING_CASES = {
+    "gap-10x10-p2-4": _stats(4, 5, 923, 0, 1, 0),
+    "gap-10x10-p2-8": _stats(0, 0, 396, 0, 0, 0),
+    "rand-10x10-occ0.5-1": _stats(751, 1020, 84344, 5, 747, 0),
+}
 
 
-@pytest.mark.parametrize("case_id", sorted(SAP_CASES))
-def test_sap_search_is_pinned(case_id, monkeypatch):
-    instance = {
+def _sap_encoder_stats(case_id, monkeypatch, **options):
+    matrix = {
         inst.case_id: inst
-        for inst in build_corpus(["table1-gap"], profile="quick", seed=2024)
-    }[case_id]
+        for inst in build_corpus(None, profile="quick", seed=2024)
+    }[case_id].matrix
     encoders = []
     make_encoder = oracle_module.make_encoder
 
@@ -125,11 +138,21 @@ def test_sap_search_is_pinned(case_id, monkeypatch):
         return encoders[-1]
 
     monkeypatch.setattr(oracle_module, "make_encoder", recording)
-    result = sap_solve(instance.matrix, trials=32, seed=2024)
+    result = sap_solve(matrix, trials=32, seed=2024, **options)
     assert (result.depth, result.proved_optimal) == (10, True)
-    assert [enc.solver.stats.as_dict() for enc in encoders] == [
-        SAP_CASES[case_id]
-    ]
+    return [enc.solver.stats.as_dict() for enc in encoders]
+
+
+@pytest.mark.parametrize("case_id", sorted(SAP_CASES))
+def test_sap_search_is_pinned(case_id, monkeypatch):
+    stats = _sap_encoder_stats(case_id, monkeypatch, use_fooling_bound=False)
+    assert stats == [SAP_CASES[case_id]]
+
+
+@pytest.mark.parametrize("case_id", sorted(SAP_FOOLING_CASES))
+def test_fooling_first_sap_search_is_pinned(case_id, monkeypatch):
+    stats = _sap_encoder_stats(case_id, monkeypatch)
+    assert stats == [SAP_FOOLING_CASES[case_id]]
 
 
 def _record_solves(monkeypatch):

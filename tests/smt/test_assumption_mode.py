@@ -113,14 +113,20 @@ class TestAssumptionDescent:
 
     @pytest.mark.parametrize("descent", ["linear", "binary", "assumption"])
     def test_descents_agree_on_paper_matrices(self, descent):
+        queries = []
         for matrix in (equation_2(), figure_1b()):
             result = sap_solve(
-                matrix, options=SapOptions(trials=20, seed=7, descent=descent)
+                matrix,
+                options=SapOptions(
+                    trials=20, seed=7, descent=descent, use_fooling_bound=False
+                ),
             )
+            queries.extend(result.queries)
             assert result.proved_optimal
             reference = binary_rank_branch_bound(matrix).binary_rank
             assert result.depth == reference
             result.partition.validate(matrix)
+        assert queries
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -142,8 +148,12 @@ class TestAssumptionDescent:
     def test_assumption_descent_reuses_one_solver(self):
         matrix = figure_1b()
         result = sap_solve(
-            matrix, options=SapOptions(trials=5, seed=3, descent="assumption")
+            matrix,
+            options=SapOptions(
+                trials=5, seed=3, descent="assumption", use_fooling_bound=False
+            ),
         )
+        assert result.queries
         assert result.proved_optimal
         assert result.depth == 5
         # All queries ran against a single primed encoder, so every

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import EncodingError
+from repro.core.fooling import max_fooling_set
 from repro.core.paper_matrices import equation_2, figure_1b
 from repro.cover.validate import validate_cover
 from repro.sat.solver import SolveStatus
@@ -183,4 +184,92 @@ class TestCover:
         with pytest.raises(EncodingError):
             make_encoder(
                 self.MATRIX, 2, encoding="binary", free=self.MATRIX
+            )
+
+
+class TestCellOrder:
+    """``first``: the listed cells are numbered first."""
+
+    MATRIX = figure_1b()
+    FOOLING = max_fooling_set(MATRIX, seed=0)
+
+    @staticmethod
+    def _labellings(encoder, limit=500):
+        """Every model's label per cell, through blocking clauses."""
+        labellings = []
+        while len(labellings) < limit and encoder.solve() is SolveStatus.SAT:
+            labels, blocking = {}, []
+            for t, cell in enumerate(encoder.cells):
+                for k in range(encoder.bound):
+                    var = encoder._vars[t][k]
+                    if encoder.solver.model_value(var):
+                        labels[cell] = k
+                        blocking.append(-var)
+            labellings.append(labels)
+            encoder.solver.add_clause(blocking)
+        return labellings
+
+    def test_order(self):
+        encoder = DirectEncoder(self.MATRIX, 5, first=self.FOOLING)
+        rest = [c for c in self.MATRIX.ones() if c not in self.FOOLING]
+        assert encoder.cells == self.FOOLING + rest
+
+    @pytest.mark.parametrize("symmetry", ["restricted", "precedence"])
+    @pytest.mark.parametrize("bound", [5, 6])
+    def test_fooling_cells_take_the_first_labels_in_every_model(
+        self, symmetry, bound
+    ):
+        assert len(self.FOOLING) == 5
+        encoder = DirectEncoder(
+            self.MATRIX, bound, symmetry=symmetry, first=self.FOOLING
+        )
+        labellings = self._labellings(encoder)
+        assert 0 < len(labellings) < 500  # the enumeration is complete
+        for labels in labellings:
+            assert [labels[cell] for cell in self.FOOLING] == [0, 1, 2, 3, 4]
+
+    def test_boundary_unchanged(self):
+        encoder = DirectEncoder(self.MATRIX, 5, first=self.FOOLING)
+        assert encoder.solve() is SolveStatus.SAT
+        encoder.extract_partition()  # validated
+        encoder.narrow_to(4)
+        assert encoder.solve() is SolveStatus.UNSAT
+
+    def test_any_order_matches_branch_and_bound(self, rng):
+        for _ in range(10):
+            rows, cols = rng.randint(2, 4), rng.randint(2, 4)
+            m = BinaryMatrix(
+                [rng.getrandbits(cols) for _ in range(rows)], cols
+            )
+            if m.is_zero():
+                continue
+            order = list(m.ones())
+            rng.shuffle(order)
+            truth = binary_rank_branch_bound(m).binary_rank
+            assert DirectEncoder(m, truth, first=order).solve() is (
+                SolveStatus.SAT
+            )
+            if truth > 1:
+                below = DirectEncoder(m, truth - 1, first=order)
+                assert below.solve() is SolveStatus.UNSAT
+
+    def test_empty_first_is_row_major(self):
+        plain = DirectEncoder(self.MATRIX, 5)
+        ordered = DirectEncoder(self.MATRIX, 5, first=())
+        assert ordered.cells == plain.cells == list(self.MATRIX.ones())
+        assert ordered.solver.num_clauses == plain.solver.num_clauses
+
+    def test_rejects_a_zero_cell(self):
+        assert self.MATRIX[0, 1] == 0
+        with pytest.raises(EncodingError):
+            DirectEncoder(self.MATRIX, 5, first=[(0, 0), (0, 1)])
+
+    def test_rejects_a_repeated_cell(self):
+        with pytest.raises(EncodingError):
+            DirectEncoder(self.MATRIX, 5, first=[(0, 0), (0, 0)])
+
+    def test_binary_encoding_rejects_first(self):
+        with pytest.raises(EncodingError):
+            make_encoder(
+                self.MATRIX, 5, encoding="binary", first=self.FOOLING
             )

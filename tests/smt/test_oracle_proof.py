@@ -9,14 +9,16 @@ from repro.completion import (
     validate_masked_partition,
 )
 from repro.core.binary_matrix import BinaryMatrix
-from repro.core.bounds import fooling_lower_bound
+from repro.core.bounds import fooling_lower_bound, rank_lower_bound
 from repro.core.exceptions import ProofError
+from repro.core.fooling import max_fooling_set
 from repro.core.paper_matrices import equation_2, figure_1b
+from repro.core.reductions import reduce_matrix
 from repro.corpus.registry import build_corpus
 from repro.cover import greedy_cover, validate_cover
 from repro.sat.solver import SolveStatus
 from repro.smt.oracle import RankDecisionOracle, descend
-from repro.solvers.row_packing import PackingOptions
+from repro.solvers.row_packing import PackingOptions, row_packing
 from repro.utils.timing import Deadline
 
 
@@ -83,7 +85,35 @@ class TestOracleProof:
 
 
 class TestDescentRefutations:
-    """Completion and cover descents log checkable refutations too."""
+    """Completion, cover and fooling-first descents log checkable
+    refutations too."""
+
+    def test_fooling_first_descent(self):
+        """SAP's default formula: a maximum fooling set of the reduced
+        matrix leads the cell order."""
+        matrix = _quick_instance("gap-10x10-p2-4", ["table1-gap"])
+        reduced = reduce_matrix(matrix)
+        fooling = max_fooling_set(reduced.matrix, seed=2024)
+        oracle = RankDecisionOracle(reduced.matrix, first=fooling, proof=True)
+        start = row_packing(
+            matrix, options=PackingOptions(trials=32, seed=2024)
+        )
+
+        def accept(answer):
+            partition = reduced.lift(answer)
+            partition.validate(matrix)
+            return partition
+
+        _, proved = descend(
+            oracle,
+            start,
+            max(rank_lower_bound(matrix), len(fooling)),
+            accept,
+            deadline=Deadline(None),
+        )
+        last = oracle.queries[-1]
+        assert proved and (last.bound, last.status) == (9, SolveStatus.UNSAT)
+        oracle.verify_refutation()
 
     def test_completion_descent(self):
         matrix = _quick_instance("gap-10x10-p3-0", ["table1-gap"])

@@ -27,8 +27,13 @@ class TestBasics:
         assert result.proved_optimal and result.depth == 5
 
     def test_lower_bound_recorded(self):
-        result = sap_solve(figure_1b(), trials=16, seed=0)
+        result = sap_solve(
+            figure_1b(), trials=16, seed=0, use_fooling_bound=False
+        )
+        assert result.queries
         assert result.lower_bound == 4  # the real rank; r_B is 5
+        # By default the fooling number, 5, is the bound.
+        assert sap_solve(figure_1b(), trials=16, seed=0).lower_bound == 5
 
     def test_heuristic_depth_recorded(self):
         result = sap_solve(figure_1b(), trials=16, seed=0)
@@ -44,14 +49,21 @@ class TestBasics:
 class TestQueryDescent:
     def test_unsat_proof_recorded(self):
         """Eq. 2: rank 3 == r_B, so packing already matches the bound and
-        no query is needed.  Figure 1b needs a real UNSAT proof at 4."""
-        result = sap_solve(figure_1b(), trials=16, seed=0)
+        no query is needed.  Figure 1b needs a real UNSAT proof at 4 on
+        the paper's formula (its fooling number, 5, proves it without
+        one)."""
+        result = sap_solve(
+            figure_1b(), trials=16, seed=0, use_fooling_bound=False
+        )
         assert result.queries, "expected SMT queries for figure 1b"
         assert result.queries[-1].status is SolveStatus.UNSAT
         assert result.queries[-1].bound == 4
 
     def test_descending_bounds(self):
-        result = sap_solve(figure_1b(), trials=1, seed=12)
+        result = sap_solve(
+            figure_1b(), trials=1, seed=12, use_fooling_bound=False
+        )
+        assert result.queries
         bounds = [q.bound for q in result.queries]
         assert bounds == sorted(bounds, reverse=True)
 
@@ -66,21 +78,31 @@ class TestOptions:
     def test_binary_encoding(self):
         result = sap_solve(
             figure_1b(),
-            options=SapOptions(trials=16, seed=0, encoding="binary"),
+            options=SapOptions(
+                trials=16, seed=0, encoding="binary", use_fooling_bound=False
+            ),
         )
+        assert result.queries
         assert result.proved_optimal and result.depth == 5
 
     def test_no_reduce(self):
         result = sap_solve(
-            figure_1b(), options=SapOptions(trials=16, seed=0, reduce=False)
+            figure_1b(),
+            options=SapOptions(
+                trials=16, seed=0, reduce=False, use_fooling_bound=False
+            ),
         )
+        assert result.queries
         assert result.proved_optimal and result.depth == 5
 
     def test_non_incremental(self):
         result = sap_solve(
             figure_1b(),
-            options=SapOptions(trials=16, seed=0, incremental=False),
+            options=SapOptions(
+                trials=16, seed=0, incremental=False, use_fooling_bound=False
+            ),
         )
+        assert result.queries
         assert result.proved_optimal and result.depth == 5
 
     def test_fooling_bound_tightens(self):

@@ -10,14 +10,20 @@ from repro.solvers.sap import SapOptions, sap_solve
 
 class TestLpBoundInSap:
     def test_lp_bound_does_not_change_the_answer(self):
+        queries = []
         for matrix in (equation_2(), figure_1b()):
-            plain = sap_solve(matrix, options=SapOptions(trials=16, seed=1))
+            plain = sap_solve(
+                matrix,
+                options=SapOptions(trials=16, seed=1, use_fooling_bound=False),
+            )
+            queries.extend(plain.queries)
             with_lp = sap_solve(
                 matrix,
                 options=SapOptions(trials=16, seed=1, use_lp_bound=True),
             )
             assert plain.depth == with_lp.depth
             assert plain.proved_optimal and with_lp.proved_optimal
+        assert queries
 
     def test_lp_bound_recorded_in_lower_bound(self):
         result = sap_solve(
@@ -49,7 +55,10 @@ class TestLpBoundInSap:
     @settings(max_examples=20, deadline=None)
     def test_strengthened_bounds_agree_with_plain(self, seed):
         matrix = random_matrix(5, 5, occupancy=0.5, seed=seed)
-        plain = sap_solve(matrix, options=SapOptions(trials=8, seed=seed))
+        plain = sap_solve(
+            matrix,
+            options=SapOptions(trials=8, seed=seed, use_fooling_bound=False),
+        )
         strengthened = sap_solve(
             matrix,
             options=SapOptions(

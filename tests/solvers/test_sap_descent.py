@@ -10,13 +10,18 @@ from repro.solvers.sap import SapOptions, SapStatus, sap_solve
 
 class TestBinaryDescent:
     def test_paper_examples(self):
+        queries = []
         for matrix, expected in ((equation_2(), 3), (figure_1b(), 5)):
             result = sap_solve(
                 matrix,
-                options=SapOptions(trials=16, seed=0, descent="binary"),
+                options=SapOptions(
+                    trials=16, seed=0, descent="binary", use_fooling_bound=False
+                ),
             )
+            queries.extend(result.queries)
             assert result.proved_optimal
             assert result.depth == expected
+        assert queries
 
     def test_agrees_with_linear_on_random(self, rng):
         for _ in range(15):
@@ -34,22 +39,26 @@ class TestBinaryDescent:
             assert linear.depth == binary.depth
 
     def test_agrees_on_gap_instances(self):
+        queries = []
         for seed in range(4):
             m = gap_matrix(10, 10, 3, seed=seed)
-            linear = sap_solve(
-                m,
-                options=SapOptions(
-                    trials=16, seed=0, descent="linear", time_budget=30
-                ),
+            linear, binary = (
+                sap_solve(
+                    m,
+                    options=SapOptions(
+                        trials=16,
+                        seed=0,
+                        descent=descent,
+                        time_budget=30,
+                        use_fooling_bound=False,
+                    ),
+                )
+                for descent in ("linear", "binary")
             )
-            binary = sap_solve(
-                m,
-                options=SapOptions(
-                    trials=16, seed=0, descent="binary", time_budget=30
-                ),
-            )
+            queries.extend(linear.queries + binary.queries)
             if linear.proved_optimal and binary.proved_optimal:
                 assert linear.depth == binary.depth
+        assert queries
 
     def test_budget_interruption_keeps_valid_partition(self):
         m = gap_matrix(10, 10, 4, seed=3)
@@ -66,8 +75,11 @@ class TestBinaryDescent:
         """With a deliberately bad upper bound, bisection takes
         O(log(gap)) queries while linear descent walks the whole gap."""
         m = figure_1b()
-        weak = SapOptions(trials=1, seed=99, descent="binary")
+        weak = SapOptions(
+            trials=1, seed=99, descent="binary", use_fooling_bound=False
+        )
         result = sap_solve(m, options=weak)
+        assert result.queries
         assert result.proved_optimal and result.depth == 5
         if result.heuristic_depth - result.lower_bound > 2:
             assert len(result.queries) <= result.heuristic_depth - result.lower_bound
