@@ -16,6 +16,9 @@ Member specs
   ``greedy:K``);
 * ``sap`` / ``sap:K`` — the paper's Algorithm 1 (SMT descent, ``K``
   packing trials, default 32), proves optimality;
+* ``sap_paper`` / ``sap_paper:K`` — the same with the paper's formula
+  (``use_fooling_bound=False``: the Eq. 3 bound alone, 1-cells in
+  row-major order).  Figure 4 runs it to reproduce Observation 5;
 * ``branch_bound`` — the SMT-independent exact search, proves
   optimality (small matrices only; budget-limited).
 """
@@ -44,7 +47,7 @@ from repro.solvers.sap import SapOptions, sap_solve
 from repro.solvers.trivial import trivial_partition
 from repro.utils.rng import spawn_seeds
 
-EXACT_MEMBERS = ("sap", "branch_bound")
+EXACT_MEMBERS = ("sap", "sap_paper", "branch_bound")
 """Member kinds that can certify optimality on their own."""
 
 DEFAULT_PORTFOLIO = ("trivial", "packing:32", "sap")
@@ -311,12 +314,13 @@ def run_member(
     detail: Optional[Dict[str, Any]] = None
     try:
         kind = name.partition(":")[0]
-        if kind == "sap":
+        if kind in ("sap", "sap_paper"):
             result = sap_solve(
                 matrix,
                 options=SapOptions(
                     trials=_parse_trials(name, 32),
                     seed=seed,
+                    use_fooling_bound=kind == "sap",
                     time_budget=time_budget,
                     cancel=cancel,
                 ),

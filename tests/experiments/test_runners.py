@@ -92,7 +92,15 @@ class TestFigure4:
         rendered = result.render()
         assert "Figure 4" in rendered
         assert "Observation 5" in rendered
+        assert "fooling-first s" in rendered
         assert result.as_json()["cases"]
+        # The columns come from the paper's formula, whose hard cases
+        # end with an UNSAT proof (Observation 5); every case also
+        # reports the default member's time.
+        assert any(case.final_query_unsat for case in result.cases)
+        for case in result.as_json()["cases"]:
+            assert case["total_seconds"] > 0.0
+            assert case["fooling_seconds"] > 0.0
 
 
 class TestFtqc:

@@ -16,6 +16,7 @@ from repro.core.paper_matrices import (
 )
 from repro.cover.validate import validate_cover
 from repro.service.portfolio import (
+    is_exact_member,
     run_member,
     member_seed,
     solve_portfolio,
@@ -23,7 +24,7 @@ from repro.service.portfolio import (
 from tests.conftest import SERVICE_SEED
 
 HEURISTIC_MEMBERS = ("trivial", "packing:8", "packing_x:4", "greedy:4")
-EXACT_MEMBERS = ("sap", "branch_bound")
+EXACT_MEMBERS = ("sap", "sap_paper", "branch_bound")
 ALL_MEMBERS = HEURISTIC_MEMBERS + EXACT_MEMBERS
 
 PAPER_CASES = [
@@ -106,6 +107,25 @@ class TestExactBackendsAgree:
                 stop_when_optimal=False,
             )
             assert result.depth == PAPER_OPTIMA[case_id], case_id
+
+
+class TestPaperFormulaMember:
+    """``sap_paper``: SAP with the paper's formula."""
+
+    def test_is_exact(self):
+        assert is_exact_member("sap_paper") and is_exact_member("sap_paper:8")
+
+    def test_proves_by_query_where_sap_proves_by_bound(self):
+        sap, paper = (
+            run_member(figure_1b(), name, seed=0)
+            for name in ("sap:16", "sap_paper:16")
+        )
+        assert (sap.depth, sap.proved_optimal) == (5, True)
+        assert (paper.depth, paper.proved_optimal) == (5, True)
+        # Figure 1b's fooling number is 5: the default needs no query.
+        assert sap.detail["queries"] == 0
+        assert paper.detail["queries"] >= 1
+        assert paper.detail["final_query_unsat"]
 
 
 class TestProvenance:
