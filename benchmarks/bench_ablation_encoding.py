@@ -3,6 +3,8 @@
 Direct (one-hot) vs binary-label encodings, symmetry-breaking modes,
 and incremental vs from-scratch oracle use, all measured on the same
 instance needing a real UNSAT proof (Figure 1b: r_B = 5, rank bound 4).
+SAP runs the paper's formula (``use_fooling_bound=False``): its
+default proves Figure 1b by the fooling number, with no query.
 """
 
 from __future__ import annotations
@@ -51,7 +53,11 @@ def test_sap_incremental_vs_fresh(benchmark, incremental):
         return sap_solve(
             matrix,
             options=SapOptions(
-                trials=8, seed=0, incremental=incremental, time_budget=30
+                trials=8,
+                seed=0,
+                incremental=incremental,
+                time_budget=30,
+                use_fooling_bound=False,
             ),
         )
 
@@ -79,7 +85,11 @@ def test_sap_reduction_ablation(benchmark, reduce):
         return sap_solve(
             doubled,
             options=SapOptions(
-                trials=8, seed=0, reduce=reduce, time_budget=60
+                trials=8,
+                seed=0,
+                reduce=reduce,
+                time_budget=60,
+                use_fooling_bound=False,
             ),
         )
 

@@ -2,7 +2,9 @@
 
 Times full SAP runs on the hard families and records the phase split
 (packing vs SMT) plus whether the run ends with an UNSAT proof —
-Observation 5's claim that optimality proofs dominate.
+Observation 5's claim that optimality proofs dominate.  Like the
+Figure 4 runner, they run the paper's formula
+(``use_fooling_bound=False``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ def test_figure4_gap_families(benchmark, scale, root_seed, pairs):
         return sap_solve(
             matrix,
             options=SapOptions(
-                trials=trials, seed=root_seed, time_budget=30
+                trials=trials,
+                seed=root_seed,
+                time_budget=30,
+                use_fooling_bound=False,
             ),
         )
 
@@ -51,7 +56,10 @@ def test_figure4_random_controls(benchmark, scale, root_seed, occupancy):
         return sap_solve(
             matrix,
             options=SapOptions(
-                trials=trials, seed=root_seed, time_budget=30
+                trials=trials,
+                seed=root_seed,
+                time_budget=30,
+                use_fooling_bound=False,
             ),
         )
 
@@ -70,7 +78,9 @@ def test_figure4_unsat_proof_is_the_expensive_part(benchmark, root_seed):
     def solve():
         return sap_solve(
             matrix,
-            options=SapOptions(trials=20, seed=0, time_budget=30),
+            options=SapOptions(
+                trials=20, seed=0, time_budget=30, use_fooling_bound=False
+            ),
         )
 
     result = benchmark(solve)

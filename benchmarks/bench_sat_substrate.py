@@ -5,6 +5,12 @@ Figure 4; these keep the solver's performance visible (pigeonhole UNSAT
 proofs, random 3-SAT, SAP's incremental narrowing, and SAP on every
 quick-corpus instance that reaches the oracle).
 
+SAP runs under both of its formulas.  The ``sap/<case>`` entries run
+the paper's (``use_fooling_bound=False``: 1-cells in row-major order),
+a fixed search on which solver speed is measured.  The
+``sap-fooling/<case>`` entries run SAP's default, which raises the bound
+to a maximum fooling set and numbers its cells first.
+
 Every case is recorded in ``BENCH_sat.json`` (override the directory
 with ``REPRO_BENCH_DIR``): the conflicts and propagations of its
 ``CdclSolver.solve`` calls, their process time, and the rates
@@ -153,26 +159,38 @@ def test_incremental_narrowing_pattern(benchmark, cdcl_meter):
     record_entry("sat", "narrowing-figure1b", cdcl_meter.entry())
 
 
+SAP_FORMULAS = {"sap": False, "sap-fooling": True}
+"""Entry prefix -> ``use_fooling_bound``."""
+
+
 def test_sap_on_quick_corpus(cdcl_meter, root_seed):
-    """SAP (32 packing trials) on each quick-corpus instance whose
-    heuristic bound does not meet the rank bound, so that the oracle
-    runs; ``rand-10x10-occ0.5-1`` is the corpus's one hard UNSAT proof."""
-    queried = []
+    """SAP (32 packing trials) under each formula, on each quick-corpus
+    instance whose bounds do not meet the heuristic depth, so that the
+    oracle runs; ``rand-10x10-occ0.5-1`` is the corpus's one hard UNSAT
+    proof."""
+    queried = {prefix: [] for prefix in SAP_FORMULAS}
     for instance in build_corpus(profile="quick", seed=root_seed):
-        for _ in range(REPEATS):
-            result = cdcl_meter.run(
-                lambda: sap_solve(instance.matrix, trials=32, seed=root_seed)
-            )
-        if not result.queries:
-            cdcl_meter.runs = []
-            continue
-        entry = cdcl_meter.entry()
-        entry["queries"] = len(result.queries)
-        entry["depth"] = result.depth
-        entry["optimal"] = result.proved_optimal
-        record_entry("sat", f"sap/{instance.case_id}", entry)
-        queried.append(instance.case_id)
-    assert "rand-10x10-occ0.5-1" in queried
+        for prefix, fooling in SAP_FORMULAS.items():
+            for _ in range(REPEATS):
+                result = cdcl_meter.run(
+                    lambda: sap_solve(
+                        instance.matrix,
+                        trials=32,
+                        seed=root_seed,
+                        use_fooling_bound=fooling,
+                    )
+                )
+            if not result.queries:
+                cdcl_meter.runs = []
+                continue
+            entry = cdcl_meter.entry()
+            entry["queries"] = len(result.queries)
+            entry["depth"] = result.depth
+            entry["optimal"] = result.proved_optimal
+            record_entry("sat", f"{prefix}/{instance.case_id}", entry)
+            queried[prefix].append(instance.case_id)
+    for cases in queried.values():
+        assert "rand-10x10-occ0.5-1" in cases
 
 
 def test_cold_quick_corpus(cdcl_meter, root_seed):
