@@ -14,8 +14,8 @@ split, the real rank, and whether the final oracle query was UNSAT.
 Every one of those columns comes from ``sap_paper``, SAP with the
 paper's formula.  Beside them one column gives the total seconds of the
 default ``sap`` member, which seeds its encoding with a maximum fooling
-set (:mod:`repro.solvers.sap`): its proofs are so much cheaper that the
-Observation 5 pattern no longer dominates.
+set (:mod:`repro.solvers.sap`) and so proves the same cases far more
+cheaply.
 
 The pool runs through :func:`repro.service.batch.solve_batch` (both
 members on every instance), so ``REPRO_WORKERS`` fans the hard cases

@@ -28,7 +28,7 @@ from repro.core.exceptions import EncodingError
 from repro.core.partition import Partition
 from repro.sat.proof import ProofLog
 from repro.sat.solver import SolveStatus
-from repro.smt.encoder import make_encoder
+from repro.smt.encoder import Cell, make_encoder
 from repro.utils.timing import Deadline
 
 QUERY_MODES = ("narrow", "assumption")
@@ -68,7 +68,7 @@ class RankDecisionOracle:
     proof: bool = False
     free: Optional[BinaryMatrix] = None
     cover: bool = False
-    first: Sequence[Tuple[int, int]] = ()
+    first: Sequence[Cell] = ()
     queries: List[OracleQuery] = field(default_factory=list)
     proof_log: Optional[ProofLog] = None
     _encoder: Optional[object] = None

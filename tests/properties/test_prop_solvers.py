@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.benchgen.random_matrices import random_matrix
-
 from repro.core.bounds import (
     fooling_lower_bound,
     rank_lower_bound,

@@ -42,18 +42,25 @@ class TestBinaryDescent:
         queries = []
         for seed in range(4):
             m = gap_matrix(10, 10, 3, seed=seed)
-            linear, binary = (
-                sap_solve(
-                    m,
-                    options=SapOptions(
-                        trials=16,
-                        seed=0,
-                        descent=descent,
-                        time_budget=30,
-                        use_fooling_bound=False,
-                    ),
-                )
-                for descent in ("linear", "binary")
+            linear = sap_solve(
+                m,
+                options=SapOptions(
+                    trials=16,
+                    seed=0,
+                    descent="linear",
+                    time_budget=30,
+                    use_fooling_bound=False,
+                ),
+            )
+            binary = sap_solve(
+                m,
+                options=SapOptions(
+                    trials=16,
+                    seed=0,
+                    descent="binary",
+                    time_budget=30,
+                    use_fooling_bound=False,
+                ),
             )
             queries.extend(linear.queries + binary.queries)
             if linear.proved_optimal and binary.proved_optimal:
