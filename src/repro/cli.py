@@ -4,7 +4,7 @@ Usage (also installed as ``python -m repro``):
 
     python -m repro rank PATTERN_FILE [--budget SECONDS]
     python -m repro solve PATTERN_FILE [--heuristic-only] [--trials N]
-    python -m repro solve-batch PATTERN_FILE [...] [--workers N] [--cache F]
+    python -m repro solve-batch PATTERN_FILE [...] [--workers N] [--cache-dir D]
     python -m repro serve [--socket PATH] [--workers N] [--cache-dir DIR]
     python -m repro gateway [--host H] [--port P] [--tenants FILE]
     python -m repro submit PATTERN_FILE [...] [--socket PATH | --connect tcp://H:P]
@@ -109,21 +109,12 @@ def cmd_solve_batch(args: argparse.Namespace) -> int:
     from repro.core.exceptions import ReproError
     from repro.experiments.common import write_json
     from repro.service.batch import solve_batch
-    from repro.service.cache import ResultCache
     from repro.utils.tables import format_table
 
     members = tuple(spec for spec in args.members.split(",") if spec)
     try:
         items = [(path, _read_pattern(path)) for path in args.patterns]
-        cache = None
-        if args.cache and args.cache_dir:
-            print("error: pass --cache or --cache-dir, not both",
-                  file=sys.stderr)
-            return 2
-        if args.cache:
-            cache = ResultCache(path=args.cache)
-        elif args.cache_dir:
-            cache = ResultCache.sharded(args.cache_dir)
+        cache = _open_cache(args)
         records = solve_batch(
             items,
             members=members,
@@ -159,8 +150,10 @@ def cmd_solve_batch(args: argparse.Namespace) -> int:
     )
     if cache is not None:
         stats = cache.stats
-        target = args.cache or args.cache_dir
-        print(f"cache: {stats.hits} hits, {stats.misses} misses -> {target}")
+        print(
+            f"cache: {stats.hits} hits, {stats.misses} misses "
+            f"-> {args.cache_dir}"
+        )
     if args.json:
         try:
             write_json(args.json, [record.provenance() for record in records])
@@ -171,19 +164,11 @@ def cmd_solve_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _server_cache(args: argparse.Namespace):
-    """Shared --cache/--cache-dir resolution for serve/gateway."""
+def _open_cache(args: argparse.Namespace):
+    """The ``--cache-dir`` cache (``None`` runs uncached)."""
     from repro.service.cache import ResultCache
 
-    if args.cache and args.cache_dir:
-        print("error: pass --cache or --cache-dir, not both",
-              file=sys.stderr)
-        return 2, None
-    if args.cache:
-        return 0, ResultCache(path=args.cache)
-    if args.cache_dir:
-        return 0, ResultCache.sharded(args.cache_dir)
-    return 0, None
+    return ResultCache.sharded(args.cache_dir) if args.cache_dir else None
 
 
 def _traffic_policy(args: argparse.Namespace):
@@ -203,75 +188,43 @@ def _traffic_policy(args: argparse.Namespace):
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    """``serve`` (unix socket) and ``gateway`` (TCP): one front."""
     from repro.core.exceptions import ReproError
-    from repro.server.daemon import default_socket_path, run_daemon
-
-    members = tuple(spec for spec in args.members.split(",") if spec)
-    socket_path = args.socket or default_socket_path()
-    cache = None
-    try:
-        status, cache = _server_cache(args)
-        if status:
-            return status
-        tenants, admission = _traffic_policy(args)
-        print(
-            f"serving on {socket_path} "
-            f"(workers={args.workers}, executor={args.executor}, "
-            f"members: {', '.join(members)}, race={args.race}); "
-            f"submit with: "
-            f"python -m repro submit PATTERN --socket {socket_path}"
-        )
-        return run_daemon(
-            socket_path,
-            tenants=tenants,
-            admission=admission,
-            members=members,
-            seed=args.seed,
-            workers=args.workers,
-            cache=cache,
-            budget_per_instance=args.budget,
-            race=args.race,
-            executor=args.executor,
-        )
-    except (ReproError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    finally:
-        if cache is not None:
-            cache.flush()
-
-
-def cmd_gateway(args: argparse.Namespace) -> int:
-    from repro.core.exceptions import ReproError
-    from repro.server.gateway import run_gateway
+    from repro.server.gateway import default_socket_path, run_gateway
     from repro.server.tenancy import AdmissionController
 
     members = tuple(spec for spec in args.members.split(",") if spec)
     cache = None
     try:
-        status, cache = _server_cache(args)
-        if status:
-            return status
+        cache = _open_cache(args)
         tenants, admission = _traffic_policy(args)
-        if admission is None:
-            # The TCP front always runs admission control: unbounded
-            # queues are exactly what it exists to prevent.
-            admission = AdmissionController()
+        if args.command == "gateway":
+            address = {"host": args.host, "port": args.port}
+            if admission is None:
+                # The TCP front always runs admission control: unbounded
+                # queues are exactly what it exists to prevent.
+                admission = AdmissionController()
+        else:
+            address = {"socket_path": args.socket or default_socket_path()}
 
         def banner(gateway) -> None:
             # After bind, so --port 0 advertises the real ephemeral port.
+            if gateway.socket_path is None:
+                where = f"gateway on {gateway.host}:{gateway.port}"
+                target = f"--connect tcp://{gateway.host}:{gateway.port}"
+            else:
+                where = f"serving on {gateway.socket_path}"
+                target = f"--socket {gateway.socket_path}"
             print(
-                f"gateway on {gateway.host}:{gateway.port} "
-                f"(workers={args.workers}, executor={args.executor}, "
+                f"{where} (workers={args.workers}, "
+                f"executor={args.executor}, "
                 f"members: {', '.join(members)}, race={args.race}); "
-                f"submit with: python -m repro submit PATTERN "
-                f"--connect tcp://{gateway.host}:{gateway.port}",
+                f"submit with: python -m repro submit PATTERN {target}",
                 flush=True,
             )
 
         return run_gateway(
-            args.host,
-            args.port,
+            **address,
             tenants=tenants,
             admission=admission,
             on_ready=banner,
@@ -295,7 +248,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from repro.core.exceptions import ReproError
     from repro.experiments.common import write_json
     from repro.server import client
-    from repro.server.daemon import default_socket_path
+    from repro.server.gateway import default_socket_path
     from repro.utils.tables import format_table
 
     address = args.connect or args.socket or default_socket_path()
@@ -405,7 +358,7 @@ def cmd_health(args: argparse.Namespace) -> int:
 
     from repro.core.exceptions import ReproError
     from repro.server import client
-    from repro.server.daemon import default_socket_path
+    from repro.server.gateway import default_socket_path
 
     address = args.connect or args.socket or default_socket_path()
     try:
@@ -638,13 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock budget per instance (seconds; default unlimited)",
     )
     p_batch.add_argument(
-        "--cache", default=None,
-        help="JSON result-cache file (read if present, written after the batch)",
-    )
-    p_batch.add_argument(
         "--cache-dir", default=None,
         help="sharded result-cache directory (safe to share between "
-        "concurrent runners; migrates a --cache file given its path)",
+        "concurrent runners; a single-file JSON cache at this path is "
+        "migrated in place)",
     )
     p_batch.add_argument(
         "--race", default="sequential",
@@ -665,9 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget", type=float, default=None,
             help="default wall-clock budget per instance (seconds)",
-        )
-        p.add_argument(
-            "--cache", default=None, help="JSON result-cache file"
         )
         p.add_argument(
             "--cache-dir", default=None, help="sharded result-cache directory"
@@ -699,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="long-lived streaming solve daemon on a unix socket",
+        help="long-lived streaming solve front on a unix socket",
     )
     p_serve.add_argument(
         "--socket", default=None,
@@ -722,16 +669,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (default 7341; 0 binds an ephemeral port)",
     )
     server_flags(p_gateway)
-    p_gateway.set_defaults(func=cmd_gateway)
+    p_gateway.set_defaults(func=cmd_serve)
 
     p_submit = sub.add_parser(
         "submit",
-        help="stream patterns through a running solve daemon",
+        help="stream patterns through a running solve front",
     )
     p_submit.add_argument(
         "patterns", nargs="+", help="pattern files (one instance each)"
     )
-    p_submit.add_argument("--socket", default=None, help="daemon socket path")
+    p_submit.add_argument(
+        "--socket", default=None,
+        help="unix socket path of a `repro serve` front (default: "
+        "$XDG_RUNTIME_DIR/repro-solve-UID.sock)",
+    )
     p_submit.add_argument(
         "--connect", default=None,
         help="TCP gateway address (tcp://host:port); overrides --socket",
@@ -776,7 +727,11 @@ def build_parser() -> argparse.ArgumentParser:
         "health",
         help="probe a running front: ready / degraded / draining",
     )
-    p_health.add_argument("--socket", default=None, help="daemon socket path")
+    p_health.add_argument(
+        "--socket", default=None,
+        help="unix socket path of a `repro serve` front (default: "
+        "$XDG_RUNTIME_DIR/repro-solve-UID.sock)",
+    )
     p_health.add_argument(
         "--connect", default=None,
         help="TCP gateway address (tcp://host:port); overrides --socket",

@@ -59,16 +59,9 @@ def _members(args: argparse.Namespace) -> Sequence[str]:
 
 
 def _cache(args: argparse.Namespace):
-    from repro.core.exceptions import SolverError
     from repro.service.cache import ResultCache
 
-    if args.cache and args.cache_dir:
-        raise SolverError("pass --cache or --cache-dir, not both")
-    if args.cache:
-        return ResultCache(path=args.cache)
-    if args.cache_dir:
-        return ResultCache.sharded(args.cache_dir)
-    return None
+    return ResultCache.sharded(args.cache_dir) if args.cache_dir else None
 
 
 def _run(args: argparse.Namespace) -> ScoreboardReport:
@@ -270,9 +263,6 @@ def add_scoreboard_parser(sub) -> None:
         p.add_argument(
             "--budget", type=float, default=None,
             help="wall-clock budget per instance (seconds)",
-        )
-        p.add_argument(
-            "--cache", default=None, help="JSON result-cache file"
         )
         p.add_argument(
             "--cache-dir", default=None,

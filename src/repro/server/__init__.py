@@ -8,19 +8,20 @@ turns a *stream of requests* into a *stream of results*:
   :mod:`repro.service.pool`) that yields per-instance
   :class:`SolveEvent` s as they complete, with bounded in-flight
   backpressure and per-instance cancellation;
-* :mod:`shards` — a hash-prefix-sharded, ``fcntl``-locked disk tier so
-  concurrent runners on one host share a result cache safely
-  (``ResultCache.sharded``);
-* :mod:`daemon` / :mod:`client` — a JSON-lines unix-socket server
-  (``python -m repro serve``) and client (``python -m repro submit``)
-  that amortize pool and cache warmup across requests;
-* :mod:`gateway` / :mod:`tenancy` — the multi-tenant TCP front
-  (``python -m repro gateway``): per-tenant identities, priorities and
+* :mod:`shards` — the result cache's one disk tier, hash-prefix-sharded
+  and ``fcntl``-locked so concurrent runners on one host share it
+  safely (``ResultCache.sharded``);
+* :mod:`gateway` / :mod:`tenancy` — the one JSON-lines front, bound
+  to TCP (``python -m repro gateway``) or to a unix socket (``python -m
+  repro serve``, which amortizes pool and cache warmup across
+  short-lived local clients): per-tenant identities, priorities and
   rolling compute quotas, priority-aware admission control that rejects
   with ``retry_after`` instead of queueing unboundedly, and a
   ``metrics`` op reporting queue depth, per-tenant usage, cache hit
-  rate, and per-solver win rates.  The daemon binds the same front to
-  a unix socket, so both deployments share one stats surface.
+  rate, and per-solver win rates — one stats surface for both
+  transports;
+* :mod:`client` — the synchronous client (``python -m repro submit``)
+  for either transport.
 
 Intra-instance racing lives in :mod:`repro.service.racing`;
 :class:`RaceToken` and :func:`race_members` are re-exported here.

@@ -1,4 +1,4 @@
-"""Synchronous client for the solve daemon/gateway JSON-lines protocol.
+"""Synchronous client for the solve gateway's JSON-lines protocol.
 
 Deliberately plain ``socket`` + blocking reads: the client side of
 ``python -m repro submit`` is a short-lived CLI (or a test fixture)
@@ -7,10 +7,13 @@ nothing.  Each request opens one connection; the server closes the
 connection when the response stream ends, so iteration terminates
 naturally without a sentinel.
 
-Addresses name either front:
+Addresses name either transport of the one front
+(:class:`repro.server.gateway.SolveGateway`):
 
-* a filesystem path (``str`` or ``Path``) — the unix-socket daemon;
-* ``"tcp://host:port"`` or a ``(host, port)`` tuple — the TCP gateway.
+* a filesystem path (``str`` or ``Path``) — a unix socket
+  (``python -m repro serve``);
+* ``"tcp://host:port"`` or a ``(host, port)`` tuple — TCP
+  (``python -m repro gateway``).
 
 Tenancy fields ride along as request options: ``tenant``, ``key``, and
 ``priority`` are forwarded verbatim, and a gateway rejection surfaces

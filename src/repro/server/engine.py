@@ -33,7 +33,8 @@ cross the process boundary).
 
 A long-lived engine amortizes executor and cache warmup across many
 ``stream``/``solve`` calls — that is what
-:mod:`repro.server.daemon` serves over a unix socket.
+:class:`repro.server.gateway.SolveGateway` serves, over TCP or a unix
+socket.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class SolveEvent:
         return self.kind in TERMINAL_EVENTS
 
     def as_dict(self, *, include_timing: bool = True) -> Dict[str, Any]:
-        """JSON-lines wire form (the daemon protocol)."""
+        """JSON-lines wire form (the gateway protocol)."""
         payload: Dict[str, Any] = {
             "event": self.kind,
             "case_id": self.case_id,

@@ -1,13 +1,15 @@
-"""Multi-tenant TCP gateway (and shared front) for the solve engine.
+"""The one socket front of the solve engine: TCP or unix socket.
 
-One engine, many remote clients.  :class:`StreamFront` is the
+One engine, many clients.  :class:`StreamFront` is the
 transport-agnostic half: it speaks the JSON-lines protocol over any
 asyncio stream pair, validates requests *before* they reach the engine,
 applies the tenancy policy of :mod:`repro.server.tenancy`, and feeds
-one shared metrics surface.  :class:`SolveGateway` binds it to a TCP
-``asyncio.start_server``; :class:`repro.server.daemon.SolveDaemon`
-binds the same front to a unix socket, so both deployments expose
-identical ops and identical counters.
+one shared metrics surface.  :class:`SolveGateway` binds it either to
+TCP (``python -m repro gateway``, remote multi-tenant traffic) or, given
+a ``socket_path``, to a per-user ``AF_UNIX`` socket (``python -m repro
+serve``, which keeps one engine — executor workers, result cache, warm
+imports — alive for short-lived local clients).  Both transports
+expose identical ops and identical counters.
 
 Wire protocol (one JSON object per line; the request is the first line
 of a connection)::
@@ -43,8 +45,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import time
-from typing import Any, Awaitable, Callable, Dict, Optional
+from pathlib import Path
+from typing import Any, Awaitable, Callable, Dict, Optional, Union
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import ReproError, SolverError
@@ -86,6 +90,39 @@ SOLVE_OVERRIDES = (
 )
 
 Sender = Callable[[Dict[str, Any]], Awaitable[None]]
+
+_SUN_PATH_LIMIT = 104
+"""Portable ceiling on ``AF_UNIX`` path bytes (Linux allows 108, BSDs
+104, both including the trailing NUL).  Checked up front so an overlong
+path is a clear :class:`SolverError` naming the fix, not an
+``OSError: AF_UNIX path too long`` from deep inside ``bind``."""
+
+
+def check_socket_path(path: Union[str, Path]) -> None:
+    """Reject socket paths that overflow ``sun_path`` before binding."""
+    encoded = str(path).encode()
+    if len(encoded) >= _SUN_PATH_LIMIT:
+        raise SolverError(
+            f"unix socket path is {len(encoded)} bytes, over the "
+            f"{_SUN_PATH_LIMIT - 1}-byte AF_UNIX limit: {str(path)!r} "
+            "— pass a shorter --socket path (e.g. under /tmp)"
+        )
+
+
+def default_socket_path() -> str:
+    """Per-user default socket location (overridable via ``--socket``).
+
+    Prefers ``$XDG_RUNTIME_DIR``, but falls back to ``/tmp`` when the
+    runtime dir would push the path past the ``AF_UNIX`` ``sun_path``
+    limit — some sandboxes nest runtime dirs deep enough that binding
+    would otherwise fail with a cryptic ``OSError``.
+    """
+    name = f"repro-solve-{os.getuid()}.sock"
+    runtime = os.environ.get("XDG_RUNTIME_DIR") or "/tmp"
+    candidate = str(Path(runtime) / name)
+    if len(candidate.encode()) >= _SUN_PATH_LIMIT:
+        candidate = str(Path("/tmp") / name)
+    return candidate
 
 
 def parse_case(payload: Dict[str, Any], index: int) -> BatchItem:
@@ -200,7 +237,7 @@ def exact_backend_timed_out(result: PortfolioResult) -> bool:
 
 
 class StreamFront:
-    """JSON-lines request handling shared by the daemon and the gateway."""
+    """JSON-lines request handling, independent of the transport."""
 
     def __init__(
         self,
@@ -348,7 +385,7 @@ class StreamFront:
         return payload
 
     def metrics_dict(self) -> Dict[str, Any]:
-        """The one stats surface both fronts serve under ``metrics``."""
+        """The one stats surface every transport serves under ``metrics``."""
         engine_stats = self.engine.stats()
         payload = self.metrics.as_dict()
         payload["queue"] = (
@@ -564,12 +601,24 @@ class StreamFront:
 
 
 class SolveGateway(StreamFront):
-    """Serve the shared front over TCP for remote, multi-tenant traffic.
+    """Serve the shared front over TCP, or over a unix socket.
 
-    ``port=0`` binds an ephemeral port; :attr:`port` holds the bound
-    value once :meth:`run` is listening (tests and supervisors poll
-    it).  The gateway trusts its network boundary as much as you do:
-    bind ``127.0.0.1`` behind a TLS terminator for anything public.
+    Without ``socket_path`` it binds TCP ``host``:``port``; ``port=0``
+    binds an ephemeral port, and :attr:`port` holds the bound value once
+    :meth:`run` is listening (tests and supervisors poll it).  The
+    gateway trusts its network boundary as much as you do: bind
+    ``127.0.0.1`` behind a TLS terminator for anything public.
+
+    With ``socket_path`` it binds that ``AF_UNIX`` path instead (and
+    ignores ``host``/``port``): the path is checked against the
+    ``sun_path`` limit before bind, a stale socket file left by a dead
+    server is reclaimed, a socket another server still answers on is
+    refused, the parent directory is created, and the file is removed
+    on exit.
+
+    Optional ``tenants``/``admission`` set the multi-tenant policy; by
+    default every caller is the anonymous tenant and nothing is
+    rejected.
     """
 
     def __init__(
@@ -578,6 +627,7 @@ class SolveGateway(StreamFront):
         *,
         host: str = "127.0.0.1",
         port: int = 0,
+        socket_path: Optional[Union[str, Path]] = None,
         tenants: Optional[TenantRegistry] = None,
         admission: Optional[AdmissionController] = None,
         metrics: Optional[ServerMetrics] = None,
@@ -587,6 +637,7 @@ class SolveGateway(StreamFront):
         )
         self.host = host
         self.port = port
+        self.socket_path = None if socket_path is None else Path(socket_path)
         self._server: Optional[asyncio.AbstractServer] = None
 
     async def run(
@@ -601,13 +652,20 @@ class SolveGateway(StreamFront):
         supervisors should report from here, not from the requested
         arguments.
         """
+        if self.socket_path is not None:
+            await self._claim_socket_path()
         self.engine.prewarm()
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self.port
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+        if self.socket_path is None:
+            self._server = await asyncio.start_server(
+                self._handle, host=self.host, port=self.port
+            )
+            sockets = self._server.sockets or []
+            if sockets:
+                self.port = sockets[0].getsockname()[1]
+        else:
+            self._server = await asyncio.start_unix_server(
+                self._handle, path=str(self.socket_path)
+            )
         if on_ready is not None:
             on_ready(self)
         try:
@@ -615,50 +673,68 @@ class SolveGateway(StreamFront):
                 await self._stop.wait()
         finally:
             self._server = None
+            if self.socket_path is not None:
+                try:
+                    self.socket_path.unlink()
+                except OSError:
+                    pass
             self.engine.close()
 
+    async def _claim_socket_path(self) -> None:
+        path = self.socket_path
+        check_socket_path(path)
+        if path.exists():
+            # A previous server's socket; connect-refused stale files
+            # are safe to reclaim, a live server is not.
+            if await self._socket_alive():
+                raise SolverError(f"another server is already serving {path}")
+            path.unlink()
+        path.parent.mkdir(parents=True, exist_ok=True)
 
-async def serve_gateway(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    tenants: Optional[TenantRegistry] = None,
-    admission: Optional[AdmissionController] = None,
-    on_ready: Optional[Callable[[SolveGateway], None]] = None,
-    **engine_options: Any,
-) -> None:
-    """Build an engine and serve it over TCP until shutdown."""
-    gateway = SolveGateway(
-        AsyncSolveEngine(**engine_options),
-        host=host,
-        port=port,
-        tenants=tenants,
-        admission=admission,
-    )
-    await gateway.run(on_ready=on_ready)
+    async def _socket_alive(self) -> bool:
+        try:
+            _, writer = await asyncio.open_unix_connection(
+                path=str(self.socket_path)
+            )
+        except OSError:
+            return False
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except OSError:
+            pass
+        return True
 
 
 def run_gateway(
+    *,
     host: str = "127.0.0.1",
     port: int = 0,
-    *,
+    socket_path: Optional[Union[str, Path]] = None,
     tenants: Optional[TenantRegistry] = None,
     admission: Optional[AdmissionController] = None,
     on_ready: Optional[Callable[[SolveGateway], None]] = None,
     **engine_options: Any,
 ) -> int:
-    """Blocking entry point used by ``python -m repro gateway``."""
-    try:
-        asyncio.run(
-            serve_gateway(
-                host,
-                port,
-                tenants=tenants,
-                admission=admission,
-                on_ready=on_ready,
-                **engine_options,
-            )
+    """Build an engine and serve it until shutdown (blocking).
+
+    The entry point of ``python -m repro serve`` (``socket_path``) and
+    ``python -m repro gateway`` (``host``/``port``).
+    """
+
+    async def serve() -> None:
+        gateway = SolveGateway(
+            AsyncSolveEngine(**engine_options),
+            host=host,
+            port=port,
+            socket_path=socket_path,
+            tenants=tenants,
+            admission=admission,
         )
+        await gateway.run(on_ready=on_ready)
+
+    try:
+        asyncio.run(serve())
     except KeyboardInterrupt:
         pass
     return 0

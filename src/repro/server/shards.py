@@ -1,13 +1,13 @@
-"""Hash-prefix-sharded disk tier for the result cache.
+"""Hash-prefix-sharded disk tier: the result cache's one disk tier.
 
-The single-file JSON tier rewrites the whole cache on every flush, so
-two batch runners sharing one cache file on a host would silently drop
-each other's entries (last writer wins).  This tier spreads entries over
-``16**prefix_len`` shard files keyed by the leading hex digits of the
-content hash, and makes every shard update a *merge* under an exclusive
-file lock followed by an atomic tempfile + ``os.replace`` — concurrent
-writers interleave per shard instead of clobbering each other, and a
-crash mid-write can never leave a torn shard behind.
+A single cache file rewritten whole on every flush would let two batch
+runners sharing it on a host silently drop each other's entries (last
+writer wins).  This tier spreads entries over ``16**prefix_len`` shard
+files keyed by the leading hex digits of the content hash, and makes
+every shard update a *merge* under an exclusive file lock followed by
+an atomic tempfile + ``os.replace`` — concurrent writers interleave per
+shard instead of clobbering each other, and a crash mid-write can never
+leave a torn shard behind.
 
 Locking uses ``fcntl.flock`` on a sidecar ``.lock`` file (never the
 shard itself: ``os.replace`` swaps inodes, and a lock on a replaced
@@ -16,8 +16,10 @@ degrades to lock-free atomic replaces — still torn-proof, but
 concurrent merges may then lose races; the repo only targets POSIX.
 
 A :class:`ShardedDiskTier` pointed at an existing single-file JSON
-cache migrates it in place on first open: the file's entries are
-resharded into a directory of the same name.
+cache (the layout older builds wrote) migrates it in place on first
+open: the file's entries are resharded into a directory of the same
+name.  This is the only import path for such files.  A file that is not
+valid JSON is quarantined and the store opens cold.
 
 Since the cache-lifecycle work (see ``docs/cache-lifecycle.md``) the
 store is also *bounded* and *self-verifying*:
@@ -255,12 +257,10 @@ class StoreLimits:
 class ShardedDiskTier:
     """Disk storage for :class:`repro.service.cache.ResultCache`.
 
-    Implements the pluggable-storage protocol (``load`` / ``get`` /
-    ``store`` / ``location``): ``load`` returns nothing so the memory
-    tier starts cold and reads through per key, ``get`` fetches one
-    entry from its shard (verifying its integrity hash and TTL), and
-    ``store`` merges dirty entries into their shards under per-shard
-    locks, maintains the index, and enforces the store caps.
+    The memory tier reads through it per key: ``get`` fetches one entry
+    from its shard (verifying its integrity hash and TTL), and ``store``
+    merges dirty entries into their shards under per-shard locks,
+    maintains the index, and enforces the store caps.
     """
 
     def __init__(
@@ -291,10 +291,6 @@ class ShardedDiskTier:
         self.limits = limits if limits is not None else StoreLimits()
 
     # -- layout --------------------------------------------------------
-    @property
-    def location(self) -> Path:
-        return self.root
-
     def shard_path(self, key: str) -> Path:
         prefix = key[: self.prefix_len].lower()
         if len(prefix) < self.prefix_len or any(
@@ -353,7 +349,10 @@ class ShardedDiskTier:
         either the sidecar or the shards — never neither.  (A leftover
         sidecar from a crashed migration is resumed on the next open;
         re-merging entries that already landed is idempotent, so a
-        crash *between* shard writes is also safe.)
+        crash *between* shard writes is also safe.)  A source that is
+        not valid JSON is damage, not data: it is quarantined and the
+        store opens cold.  Valid JSON of another type is a healthy file
+        named by mistake, so that still raises and is left in place.
         """
         path = self.root
         sidecar = path.with_name(path.name + ".migrating")
@@ -361,7 +360,10 @@ class ShardedDiskTier:
         try:
             with open(source) as stream:
                 payload = json.load(stream)
-        except (OSError, json.JSONDecodeError) as exc:
+        except json.JSONDecodeError as exc:
+            self._quarantine(source, f"bad JSON: {exc}")
+            return
+        except OSError as exc:
             raise SolverError(
                 f"cannot migrate cache {source}: {exc}"
             ) from exc
@@ -525,11 +527,7 @@ class ShardedDiskTier:
                 self._write_shard(shard, merged, meta)
         return written
 
-    # -- storage protocol ----------------------------------------------
-    def load(self) -> Dict[str, Dict[str, Any]]:
-        """Nothing eagerly: shards are read through per key."""
-        return {}
-
+    # -- read / write --------------------------------------------------
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         shard = self.shard_path(key)
         with locked_file(self._lock_path(shard)):

@@ -19,13 +19,7 @@ from repro.service.batch import (
     solve_context,
 )
 from repro.service.budget import PortfolioBudget
-from repro.service.cache import (
-    CacheStats,
-    CacheStorage,
-    JsonFileTier,
-    ResultCache,
-    matrix_key,
-)
+from repro.service.cache import CacheStats, ResultCache, matrix_key
 from repro.service.schema import SOLVER_SCHEMA_VERSION
 from repro.service.stats import WinTally
 from repro.service.portfolio import (
@@ -47,10 +41,8 @@ __all__ = [
     "BatchItem",
     "BatchRecord",
     "CacheStats",
-    "CacheStorage",
     "DEFAULT_PORTFOLIO",
     "EXACT_MEMBERS",
-    "JsonFileTier",
     "MemberOutcome",
     "PortfolioBudget",
     "PortfolioResult",

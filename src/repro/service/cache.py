@@ -3,38 +3,33 @@
 Results are keyed on the matrix's canonical content hash — the row-mask
 tuple plus the column count, exactly the fields :class:`BinaryMatrix`
 hashes on — so any reconstruction of an equal matrix hits the same
-entry.  The in-memory tier is a bounded LRU; a pluggable storage tier
-persists entries across processes:
-
-* :class:`JsonFileTier` — the original single-file JSON layout (one
-  writer at a time; the whole cache rewritten per flush, atomically);
-* :class:`repro.server.shards.ShardedDiskTier` — hash-prefix shard
-  files with ``fcntl`` locking and merge-on-write, safe for concurrent
-  runners sharing one cache directory (``ResultCache.sharded``).
-
-Both tiers write through an atomic tempfile + ``os.replace``, so a
-crash mid-flush can never leave a torn cache file.
+entry.  The in-memory tier is a bounded LRU.  The one disk tier is
+:class:`repro.server.shards.ShardedDiskTier` (``ResultCache.sharded``):
+hash-prefix shard files with ``fcntl`` locking and merge-on-write, safe
+for concurrent runners sharing one cache directory, written through an
+atomic tempfile + ``os.replace`` so a crash mid-flush can never leave a
+torn shard.  Pointed at a single-file JSON cache written by older
+builds, it migrates that file in place on first open.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Set, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Union
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import SolverError
-from repro.utils.fileio import atomic_write_json
 from repro.service.portfolio import (
     PortfolioResult,
     result_from_dict,
     result_to_dict,
 )
 
-CACHE_FORMAT_VERSION = 1
+if TYPE_CHECKING:
+    from repro.server.shards import ShardedDiskTier
 
 
 def matrix_key(matrix: BinaryMatrix, context: str = "") -> str:
@@ -89,152 +84,49 @@ class CacheStats:
         }
 
 
-class CacheStorage:
-    """Storage-tier protocol for :class:`ResultCache`.
-
-    ``load`` seeds the memory tier at open (may return nothing for
-    read-through tiers); ``get`` fetches one entry on a memory miss;
-    ``store`` persists entries at flush (``dirty`` names the keys
-    written since the last flush, letting merge-style tiers touch only
-    what changed).  ``location`` is where the data lives, for logs.
-    """
-
-    location: Optional[Path] = None
-
-    def load(self) -> Dict[str, Dict[str, Any]]:
-        return {}
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        return None
-
-    def store(
-        self,
-        entries: Mapping[str, Dict[str, Any]],
-        dirty: Optional[Set[str]] = None,
-    ) -> None:
-        raise NotImplementedError
-
-
-class JsonFileTier(CacheStorage):
-    """The original single-file JSON disk tier.
-
-    Entries are serialized in LRU order (least recent first), so a
-    reload reconstructs the same recency order and capacity-driven
-    evictions after a round trip still drop the least recently used
-    entry.  The whole file is rewritten per store — atomically, via
-    tempfile + ``os.replace`` — which makes this tier safe against
-    crashes but still last-writer-wins across processes; use the
-    sharded tier when several runners share one cache.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self.quarantined = 0
-
-    @property
-    def location(self) -> Path:  # type: ignore[override]
-        return self.path
-
-    def load(self) -> Dict[str, Dict[str, Any]]:
-        if not self.path.exists():
-            return {}
-        try:
-            with open(self.path) as stream:
-                payload = json.load(stream)
-        except json.JSONDecodeError as exc:
-            # Torn/truncated JSON is damage, not data: move it aside
-            # and start cold instead of failing every solve.  A wrong
-            # *type* below still raises — that is a healthy file the
-            # caller pointed us at by mistake, not corruption.
-            from repro.server.shards import quarantine_file
-
-            if quarantine_file(self.path, f"bad JSON: {exc}") is not None:
-                self.quarantined += 1
-            return {}
-        except OSError as exc:
-            raise SolverError(
-                f"cannot load cache {self.path}: {exc}"
-            ) from exc
-        if payload.get("type") != "portfolio_cache":
-            raise SolverError(
-                f"{self.path} is not a portfolio cache "
-                f"(type={payload.get('type')!r})"
-            )
-        if payload.get("version", 0) > CACHE_FORMAT_VERSION:
-            raise SolverError(
-                f"cache {self.path} has version {payload['version']}, "
-                f"newer than supported {CACHE_FORMAT_VERSION}"
-            )
-        return dict(payload["entries"])
-
-    def store(
-        self,
-        entries: Mapping[str, Dict[str, Any]],
-        dirty: Optional[Set[str]] = None,
-    ) -> None:
-        atomic_write_json(
-            self.path,
-            {
-                "version": CACHE_FORMAT_VERSION,
-                "type": "portfolio_cache",
-                "entries": dict(entries),
-            },
-        )
-
-
 class ResultCache:
     """LRU cache of :class:`PortfolioResult` keyed by matrix content.
 
     Entries are stored as JSON-able dicts, so a hit reconstructs a
-    fresh result object (flagged ``from_cache=True``) and the storage
-    tier round-trips losslessly.  ``capacity`` bounds the in-memory
-    tier; eviction drops the least recently used entry (evicted dirty
-    entries are retained off to the side until the next flush, so a
-    small memory tier cannot lose fresh results).
+    fresh result object (flagged ``from_cache=True``) and the disk tier
+    round-trips losslessly.  ``capacity`` bounds the in-memory tier;
+    eviction drops the least recently used entry.  With a disk tier,
+    evicted entries not yet flushed are retained off to the side until
+    the next flush, so a small memory tier cannot lose fresh results;
+    without one (``ResultCache()``) nothing is retained past capacity.
+    ``storage`` is how :meth:`sharded` hands over its tier; the memory
+    tier starts cold and reads through it per key.
     """
 
     def __init__(
         self,
         capacity: int = 1024,
         *,
-        path: Optional[Union[str, Path]] = None,
-        storage: Optional[CacheStorage] = None,
+        storage: Optional["ShardedDiskTier"] = None,
     ) -> None:
         if capacity < 1:
             raise SolverError(f"cache capacity must be >= 1, got {capacity}")
-        if path is not None and storage is not None:
-            raise SolverError("pass either path or storage, not both")
-        if path is not None:
-            storage = JsonFileTier(path)
         self.capacity = capacity
         self.storage = storage
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._dirty: Set[str] = set()
         self._evicted_dirty: Dict[str, Dict[str, Any]] = {}
-        if self.storage is not None:
-            for key, entry in self.storage.load().items():
-                self._entries[key] = entry
-            self._enforce_capacity()
-            self._sync_quarantines()
+        self._sync_quarantines()
 
     def _sync_quarantines(self) -> None:
-        """Mirror the storage tier's lifecycle counters into the stats."""
+        """Mirror the disk tier's lifecycle counters into the stats."""
         storage = self.storage
         if storage is None:
             return
-        self.stats.quarantines = getattr(storage, "quarantined", 0)
-        self.stats.store_evictions = getattr(storage, "store_evictions", 0)
-        self.stats.gc_runs = getattr(storage, "gc_runs", 0)
-        self.stats.integrity_failures = getattr(
-            storage, "integrity_failures", 0
-        )
-        bytes_used = getattr(storage, "bytes_used", None)
-        if callable(bytes_used):
-            self.stats.bytes_used = bytes_used()
+        self.stats.quarantines = storage.quarantined
+        self.stats.store_evictions = storage.store_evictions
+        self.stats.gc_runs = storage.gc_runs
+        self.stats.integrity_failures = storage.integrity_failures
+        self.stats.bytes_used = storage.bytes_used()
 
     def refresh_stats(self) -> CacheStats:
-        """Stats with the storage tier's counters folded in (metrics
+        """Stats with the disk tier's counters folded in (metrics
         endpoints call this rather than reading ``stats`` raw)."""
         self._sync_quarantines()
         return self.stats
@@ -279,11 +171,6 @@ class ResultCache:
             ),
         )
 
-    @property
-    def path(self) -> Optional[Path]:
-        """Where the storage tier persists entries (``None`` = memory only)."""
-        return None if self.storage is None else self.storage.location
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._entries)
@@ -300,8 +187,9 @@ class ResultCache:
             if payload is None:
                 payload = self.storage.get(key)
                 self._sync_quarantines()
+                if payload is not None:
+                    self.stats.disk_hits += 1
             if payload is not None:
-                self.stats.disk_hits += 1
                 self._insert(key, payload, dirty=False)
         if payload is None:
             self.stats.misses += 1
@@ -319,7 +207,11 @@ class ResultCache:
     ) -> str:
         """Insert (or refresh) the entry for ``matrix``; returns its key."""
         key = matrix_key(matrix, context)
-        self._insert(key, result_to_dict(result), dirty=True)
+        # Only a disk tier has anything to flush to: a memory-only cache
+        # that kept its evicted entries dirty would grow without bound.
+        self._insert(
+            key, result_to_dict(result), dirty=self.storage is not None
+        )
         return key
 
     def _insert(
@@ -346,12 +238,12 @@ class ResultCache:
         self._evicted_dirty.clear()
 
     # ------------------------------------------------------------------
-    # Storage tier
+    # Disk tier
     # ------------------------------------------------------------------
-    def flush(self) -> Optional[Path]:
-        """Persist entries to the storage tier (no-op without one)."""
+    def flush(self) -> None:
+        """Persist fresh entries to the disk tier (no-op without one)."""
         if self.storage is None:
-            return None
+            return
         if self._evicted_dirty:
             combined: Dict[str, Dict[str, Any]] = dict(self._evicted_dirty)
             combined.update(self._entries)
@@ -363,7 +255,6 @@ class ResultCache:
         self._dirty.clear()
         self._evicted_dirty.clear()
         self._sync_quarantines()
-        return self.storage.location
 
     def __repr__(self) -> str:
         return (

@@ -56,14 +56,13 @@ class TestCorruptShardOnWrite:
         assert reader.stats.quarantines == 1
 
     def test_single_file_tier_quarantines_on_load(self, tmp_path):
+        """A torn single-file cache given for migration is quarantined
+        and the store opens cold at its path."""
         path = tmp_path / "cache.json"
-        cache = ResultCache(path=path)
-        cache.put(MATRIX, _result())
-        cache.flush()
-        path.write_text('{"version": 1, "type": "portfolio_')  # truncate
+        path.write_text('{"version": 1, "type": "portfolio_')  # truncated
 
-        reopened = ResultCache(path=path)
+        reopened = ResultCache.sharded(path)
         assert reopened.get(MATRIX) is None
         assert reopened.stats.quarantines == 1
-        assert not path.exists()
+        assert not path.is_file()  # the store directory now lives there
         assert list(tmp_path.glob("cache.json.corrupt-*"))

@@ -76,7 +76,7 @@ class TestScoring:
 
 class TestCaching:
     def test_cache_hits_do_not_inflate_the_tally(self, tmp_path):
-        cache = ResultCache(path=tmp_path / "cache.json")
+        cache = ResultCache.sharded(tmp_path / "cache")
         first = smoke_report(cache=cache)
         assert first.tally.solved == len(first.rows)
         second = smoke_report(cache=cache)

@@ -82,10 +82,10 @@ class TestSolveBatch:
     def test_batch_cache_and_json(self, pattern_file, tmp_path, capsys):
         import json
 
-        cache_path = str(tmp_path / "cache.json")
+        cache_path = str(tmp_path / "cache")
         json_path = str(tmp_path / "out.json")
         assert main(
-            ["solve-batch", pattern_file, "--cache", cache_path,
+            ["solve-batch", pattern_file, "--cache-dir", cache_path,
              "--json", json_path]
         ) == 0
         assert "1 misses" in capsys.readouterr().out
@@ -93,10 +93,56 @@ class TestSolveBatch:
         assert payload[0]["winner"]
         assert payload[0]["optimal"] is True
         # second run is served from the persisted cache
-        assert main(["solve-batch", pattern_file, "--cache", cache_path]) == 0
+        assert main(
+            ["solve-batch", pattern_file, "--cache-dir", cache_path]
+        ) == 0
         out = capsys.readouterr().out
         assert "hit" in out
         assert "1 hits" in out
+
+    def test_batch_cache_dir_migrates_a_single_file_cache(
+        self, pattern_file, tmp_path, capsys
+    ):
+        import json
+
+        from repro.server.shards import ShardedDiskTier
+
+        # Build the single-file layout older builds wrote, from the
+        # entries a first run stores.
+        seed_dir = tmp_path / "seed"
+        assert main(
+            ["solve-batch", pattern_file, "--cache-dir", str(seed_dir)]
+        ) == 0
+        tier = ShardedDiskTier(seed_dir)
+        entries = {key: tier.get(key) for key in tier.keys()}
+        legacy = tmp_path / "cache.json"
+        legacy.write_text(
+            json.dumps(
+                {"version": 1, "type": "portfolio_cache", "entries": entries}
+            )
+        )
+        capsys.readouterr()
+
+        assert main(
+            ["solve-batch", pattern_file, "--cache-dir", str(legacy)]
+        ) == 0
+        assert "1 hits" in capsys.readouterr().out
+        assert legacy.is_dir()  # resharded in place
+        assert main(
+            ["solve-batch", pattern_file, "--cache-dir", str(legacy)]
+        ) == 0
+        assert "1 hits" in capsys.readouterr().out
+
+    def test_batch_torn_single_file_cache_reads_cold(
+        self, pattern_file, tmp_path, capsys
+    ):
+        legacy = tmp_path / "cache.json"
+        legacy.write_text('{"version": 1, "type": "portfolio_')
+        assert main(
+            ["solve-batch", pattern_file, "--cache-dir", str(legacy)]
+        ) == 0
+        assert "1 misses" in capsys.readouterr().out
+        assert list(tmp_path.glob("cache.json.corrupt-*"))
 
     def test_batch_errors_exit_cleanly(self, pattern_file, capsys):
         # typo'd member spec, duplicate pattern, missing file: exit 2

@@ -1,8 +1,9 @@
-"""Daemon/client round trips over a real unix socket.
+"""Gateway/client round trips over a real unix socket.
 
-The daemon runs on a background thread's event loop (exactly how
-``python -m repro serve`` hosts it) while the synchronous client talks
-to it from the test thread — the same topology as production.
+The gateway, given a socket path, runs on a background thread's event
+loop (exactly how ``python -m repro serve`` hosts it) while the
+synchronous client talks to it from the test thread — the same
+topology as production.
 """
 
 import asyncio
@@ -15,8 +16,8 @@ import pytest
 
 from repro.core.paper_matrices import equation_2, figure_1b, figure_3
 from repro.server import client
-from repro.server.daemon import (
-    SolveDaemon,
+from repro.server.gateway import (
+    SolveGateway,
     check_socket_path,
     default_socket_path,
     parse_case,
@@ -34,18 +35,17 @@ def daemon(tmp_path):
 
     socket_path = tmp_path / "solve.sock"
     engine = AsyncSolveEngine(members=MEMBERS, seed=7, workers=2)
-    instance = SolveDaemon(socket_path, engine)
+    instance = SolveGateway(engine, socket_path=socket_path)
+    ready = threading.Event()
 
     def run() -> None:
-        asyncio.run(instance.run())
+        asyncio.run(instance.run(on_ready=lambda _: ready.set()))
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
-    for _ in range(200):
-        if socket_path.exists():
-            break
-        time.sleep(0.01)
-    else:
+    # on_ready fires once the socket listens; the file alone appears at
+    # bind, a moment before connects are accepted.
+    if not ready.wait(timeout=10):
         pytest.fail("daemon socket never appeared")
     yield socket_path
     try:
@@ -163,8 +163,9 @@ class TestSocketPaths:
 
     def test_daemon_refuses_overlong_path_before_binding(self, tmp_path):
         deep = tmp_path / ("x" * 120) / "solve.sock"
-        daemon = SolveDaemon(
-            deep, AsyncSolveEngine(members=("trivial",), workers=1)
+        daemon = SolveGateway(
+            AsyncSolveEngine(members=("trivial",), workers=1),
+            socket_path=deep,
         )
         with pytest.raises(SolverError, match="AF_UNIX"):
             asyncio.run(daemon.run())
@@ -187,9 +188,9 @@ class TestSocketPaths:
         stale.close()
         assert socket_path.exists()
 
-        daemon = SolveDaemon(
-            socket_path,
+        daemon = SolveGateway(
             AsyncSolveEngine(members=("trivial",), workers=1),
+            socket_path=socket_path,
         )
         thread = threading.Thread(
             target=lambda: asyncio.run(daemon.run()), daemon=True
@@ -217,8 +218,9 @@ class TestSocketPaths:
             thread.join(timeout=10)
 
     def test_live_socket_is_not_stolen(self, daemon):
-        second = SolveDaemon(
-            daemon, AsyncSolveEngine(members=("trivial",), workers=1)
+        second = SolveGateway(
+            AsyncSolveEngine(members=("trivial",), workers=1),
+            socket_path=daemon,
         )
         with pytest.raises(SolverError, match="already serving"):
             asyncio.run(second.run())

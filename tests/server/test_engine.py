@@ -154,7 +154,7 @@ class TestProcessExecutor:
         ) == via_thread[0].provenance(include_timing=False)
 
     async def test_win_and_cache_hit_rates(self, tmp_path):
-        cache = ResultCache(capacity=8, path=tmp_path / "cache.json")
+        cache = ResultCache.sharded(tmp_path / "cache", capacity=8)
         async with AsyncSolveEngine(
             members=("trivial",), seed=7, cache=cache
         ) as engine:
@@ -191,7 +191,7 @@ class TestBatchEquivalence:
     async def test_cache_round_trip_and_flush(
         self, tmp_path, service_matrices, service_seed
     ):
-        cache = ResultCache(capacity=64, path=tmp_path / "cache.json")
+        cache = ResultCache.sharded(tmp_path / "cache", capacity=64)
         async with AsyncSolveEngine(
             members=MEMBERS, seed=service_seed, workers=1, cache=cache
         ) as engine:
@@ -203,7 +203,7 @@ class TestBatchEquivalence:
         assert all(e.from_cache for e in warm if e.kind == DONE)
         # Cache hits skip the executor entirely: no started events.
         assert not [e for e in warm if e.kind == STARTED]
-        assert (tmp_path / "cache.json").exists()
+        assert list((tmp_path / "cache").glob("shard-*.json"))
 
     async def test_per_stream_overrides(self, service_matrices):
         async with AsyncSolveEngine(

@@ -14,8 +14,8 @@ import pytest
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import SolverError
 from repro.server.shards import ShardedDiskTier, atomic_write_json
-from repro.service.cache import ResultCache
-from repro.service.portfolio import solve_portfolio
+from repro.service.cache import ResultCache, matrix_key
+from repro.service.portfolio import result_to_dict, solve_portfolio
 
 MEMBERS = ("trivial", "packing:2")
 
@@ -26,6 +26,23 @@ def _key(tag: str) -> str:
 
 def _payload(tag: str) -> dict:
     return {"type": "portfolio_result", "tag": tag}
+
+
+def _write_single_file_cache(path, results) -> None:
+    """A single-file cache as older builds wrote it, one entry per
+    ``{matrix: result}`` item."""
+    path.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "type": "portfolio_cache",
+                "entries": {
+                    matrix_key(matrix): result_to_dict(result)
+                    for matrix, result in results.items()
+                },
+            }
+        )
+    )
 
 
 def _write_entries(root: str, start: int, count: int) -> None:
@@ -117,16 +134,14 @@ class TestTierBasics:
 class TestMigration:
     def test_single_file_cache_migrates_in_place(self, tmp_path):
         path = tmp_path / "cache.json"
-        legacy = ResultCache(capacity=8, path=path)
         matrices = [
             BinaryMatrix([(1 << n) - 1], n) for n in (1, 2, 3)
         ]
-        results = {}
-        for matrix in matrices:
-            result = solve_portfolio(matrix, members=MEMBERS, seed=7)
-            legacy.put(matrix, result)
-            results[matrix] = result
-        legacy.flush()
+        results = {
+            matrix: solve_portfolio(matrix, members=MEMBERS, seed=7)
+            for matrix in matrices
+        }
+        _write_single_file_cache(path, results)
         assert path.is_file()
 
         sharded = ResultCache.sharded(path, capacity=8)
@@ -153,11 +168,9 @@ class TestMigration:
         """A crash between the rename-aside and the shard writes leaves
         the `.migrating` sidecar; the next open finishes the job."""
         path = tmp_path / "cache.json"
-        legacy = ResultCache(capacity=8, path=path)
         matrix = BinaryMatrix([0b11, 0b01], 2)
         result = solve_portfolio(matrix, members=MEMBERS, seed=7)
-        legacy.put(matrix, result)
-        legacy.flush()
+        _write_single_file_cache(path, {matrix: result})
         # Simulate the crash point: file moved aside, no shards yet.
         path.rename(tmp_path / "cache.json.migrating")
 
@@ -166,6 +179,18 @@ class TestMigration:
         hit = recovered.get(matrix)
         assert hit is not None
         assert hit.depth == result.depth
+
+    def test_torn_sidecar_is_quarantined(self, tmp_path):
+        """A torn `.migrating` sidecar is damage like a torn file: moved
+        aside, counted, and the store opens cold."""
+        path = tmp_path / "cache.json"
+        sidecar = tmp_path / "cache.json.migrating"
+        sidecar.write_text('{"version": 1, "type": "portfolio_')
+        tier = ShardedDiskTier(path)
+        assert tier.quarantined == 1
+        assert path.is_dir()
+        assert not sidecar.exists()
+        assert list(tmp_path.glob("cache.json.migrating.corrupt-*"))
 
     @staticmethod
     def _legacy_file(path, tags):

@@ -117,13 +117,13 @@ class TestDiskTier:
     @given(binary_matrices())
     @settings(max_examples=15)
     def test_disk_round_trip_preserves_results(self, tmp_path_factory, matrix):
-        path = tmp_path_factory.mktemp("cache") / "cache.json"
-        cache = ResultCache(capacity=8, path=path)
+        root = tmp_path_factory.mktemp("cache") / "cache"
+        cache = ResultCache.sharded(root, capacity=8)
         result = _solve(matrix)
         cache.put(matrix, result)
         cache.flush()
 
-        reloaded = ResultCache(capacity=8, path=path)
+        reloaded = ResultCache.sharded(root, capacity=8)
         hit = reloaded.get(matrix)
         assert hit is not None
         assert hit.partition == result.partition
@@ -134,34 +134,36 @@ class TestDiskTier:
             == result.provenance(include_timing=False)["members"]
         )
 
-    def test_reload_respects_capacity(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = ResultCache(capacity=8, path=path)
-        for n in range(1, 6):
-            matrix = BinaryMatrix([(1 << n) - 1], n)
-            cache.put(matrix, _solve(matrix))
-        cache.flush()
-        small = ResultCache(capacity=2, path=path)
-        assert len(small) == 2
-        assert small.stats.evictions == 3
+    def test_memory_only_cache_keeps_nothing_past_capacity(self):
+        """Without a disk tier there is nothing to flush to, so an
+        evicted entry must be dropped, not parked until a flush that
+        never writes it."""
+        cache = ResultCache(capacity=4)
+        matrix = BinaryMatrix.from_strings(["10", "01"])
+        result = _solve(matrix)
+        for index in range(200):
+            cache.put(matrix, result, context=f"run={index}")
+            cache.flush()
+        assert len(cache) == 4
+        assert cache.stats.evictions == 196
+        assert not cache._evicted_dirty
+        assert len(cache._dirty) <= 4
 
-    def test_round_trip_preserves_lru_order(self, tmp_path):
-        """Recency (not hash order) decides evictions after a reload."""
-        path = tmp_path / "cache.json"
-        cache = ResultCache(capacity=8, path=path)
-        matrices = [BinaryMatrix([(1 << n) - 1], n) for n in (1, 2, 3)]
-        for matrix in matrices:
-            cache.put(matrix, _solve(matrix))
-        assert cache.get(matrices[0]) is not None  # oldest becomes hottest
-        cache.flush()
-        reloaded = ResultCache(capacity=2, path=path)
-        # capacity 2 keeps the two most recent: matrices[2], matrices[0]
-        assert reloaded.get(matrices[0]) is not None
-        assert reloaded.get(matrices[2]) is not None
-        assert reloaded.get(matrices[1]) is None
+    def test_disk_hits_count_only_reads_from_disk(self, tmp_path):
+        """An evicted entry not yet flushed is served from memory: a
+        hit, but not a disk hit."""
+        root = tmp_path / "cache"
+        a = BinaryMatrix.from_strings(["1"])
+        b = BinaryMatrix.from_strings(["11"])
+        cache = ResultCache.sharded(root, capacity=1)
+        cache.put(a, _solve(a))
+        cache.put(b, _solve(b))  # evicts a before any flush
+        assert cache.get(a) is not None
+        assert not list(root.glob("shard-*.json"))
+        assert cache.stats.hits == 1
+        assert cache.stats.disk_hits == 0
 
-    def test_rejects_foreign_payload(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text('{"type": "something_else", "entries": {}}')
-        with pytest.raises(SolverError):
-            ResultCache(path=path)
+        cache.flush()
+        reopened = ResultCache.sharded(root, capacity=1)
+        assert reopened.get(a) is not None
+        assert reopened.stats.disk_hits == 1
