@@ -20,13 +20,16 @@ overridable via ``REPRO_BENCH_DIR``):
 * **store write per miss** — what a gateway pays at flush for one
   cache miss: ``tier.get(key)`` then ``tier.store({key: payload})``,
   repeated until the store holds 130 entries (the misses of one
-  ``gateway-mixed`` round) or 1,000 (a long-lived gateway; the index
-  is still rewritten whole per miss, so this row grows with the
-  store).  Recorded: seconds per miss (median of the last 100) and
-  filesystem calls per miss, counted by wrapping ``os.stat``,
-  ``os.mkdir``, ``os.replace``, ``os.scandir``, ``os.open``,
-  ``open`` and ``fcntl.flock``.  The counts are deterministic, so
-  they compare across hosts; the seconds do not.  Recorded only.
+  ``gateway-mixed`` round) or 1,000 (a long-lived gateway).  A miss
+  appends to the index log instead of rewriting the index, so both
+  rows should cost about the same.  Recorded: seconds per miss (median
+  of the last 100), filesystem calls per miss, counted by wrapping
+  ``os.stat``, ``os.mkdir``, ``os.replace``, ``os.scandir``,
+  ``os.open``, ``open`` and ``fcntl.flock``, and files created per
+  miss: opens that create a path that did not exist (the shard's
+  tempfile on every miss, plus the snapshot's tempfile when the log is
+  folded).  The counts are deterministic, so they compare across
+  hosts; the seconds do not.  Recorded only.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ at most this fraction of a full shard read."""
 
 MISS_STORE_SIZES = (130, 1_000)
 TIMED_MISSES = 100
+REAL_STAT = os.stat
 FS_CALLS = (
     (os, "stat"),
     (os, "mkdir"),
@@ -225,8 +229,28 @@ def _misses(tier: ShardedDiskTier, count: int) -> list:
     return seconds
 
 
+def _creates(module, args: tuple, kwargs: dict, stat) -> bool:
+    """Is this ``os.open``/``open`` call creating a path that did not
+    exist?  ``stat`` is the unwrapped ``os.stat``."""
+    if module is os:
+        creating = bool(args[1] & os.O_CREAT)
+    else:
+        mode = args[1] if len(args) > 1 else kwargs.get("mode", "r")
+        creating = isinstance(args[0], (str, os.PathLike)) and any(
+            c in mode for c in "wax"
+        )
+    if not creating:
+        return False
+    try:
+        stat(args[0])
+    except FileNotFoundError:
+        return True
+    return False
+
+
 def test_store_write_per_miss(tmp_path, monkeypatch):
-    """Get + store of one miss: seconds and filesystem calls."""
+    """Get + store of one miss: seconds, filesystem calls and files
+    created."""
     rows = {}
     for size in MISS_STORE_SIZES:
         timed = ShardedDiskTier(tmp_path / f"timed-{size}")
@@ -235,11 +259,17 @@ def test_store_write_per_miss(tmp_path, monkeypatch):
 
         counted = ShardedDiskTier(tmp_path / f"counted-{size}")
         calls: collections.Counter = collections.Counter()
+        created = 0
         for module, name in FS_CALLS:
             real = getattr(module, name)
 
-            def spy(*args, _real=real, _name=name, **kwargs):
+            def spy(*args, _real=real, _name=name, _module=module, **kwargs):
+                nonlocal created
                 calls[_name] += 1
+                if _name == "open" and _creates(
+                    _module, args, kwargs, REAL_STAT
+                ):
+                    created += 1
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, spy)
@@ -256,6 +286,7 @@ def test_store_write_per_miss(tmp_path, monkeypatch):
             "fs_calls_per_miss_by_kind": {
                 name: count / size for name, count in sorted(calls.items())
             },
+            "files_created_per_miss": created / size,
         }
     sizes = [
         len(canonical_payload_bytes(_result_payload(n)))

@@ -6,17 +6,17 @@ baselines, provenance dumps) must be written with ``sort_keys=True``,
 or dict insertion order leaks into the bytes and every diff is noise.
 
 REP006 guards the sharded cache's crash-safety story: shard files are
-only read/written inside :mod:`repro.server.shards`'s lock-holding
-helpers — an ``open()`` of a shard path anywhere else bypasses both the
-flock and the atomic-replace protocol.
+only read/written inside :mod:`repro.server.shards`'s helpers — an
+``open()`` of a shard path anywhere else bypasses both the shard lock
+and the atomic-replace protocol that lets readers go without it.
 
 REP009 extends the same discipline to every *other* file living inside
-a cache store directory — the GC journal, the maintained index, the
-persisted store limits.  The crash-recovery matrix in
-``docs/cache-lifecycle.md`` only holds if each of those files is
-written by exactly one locked, atomic-replace helper; a stray write
-from anywhere else can tear the journal out from under a resume or
-desynchronize the index silently.
+a cache store directory — the GC journal, the index snapshot and its
+append-only log, the persisted store limits.  The crash-recovery matrix
+in ``docs/cache-lifecycle.md`` only holds if each of those files is
+written by exactly one locked helper (atomic replace, or for the log
+one ``O_APPEND`` handle); a stray write from anywhere else can tear the
+journal out from under a resume or desynchronize the index silently.
 """
 
 from __future__ import annotations
@@ -94,8 +94,10 @@ class SortedJsonRule(FileRule):
 
 SHARDS_MODULE = "src/repro/server/shards.py"
 SHARD_IO_HELPERS = {"_read_shard", "_write_shard", "_migrate_single_file"}
-"""The only functions allowed to open shard files: their callers hold
-the per-shard flock (or, for migration, the global open lock)."""
+"""The only functions allowed to open shard files.  Writers hold the
+store's shard lock (``shards.lock``; for migration, the global open
+lock too); readers take none and rely on atomic replace, re-reading
+under the lock to quarantine damage."""
 
 
 class FlockShardIoRule(FileRule):
@@ -105,7 +107,7 @@ class FlockShardIoRule(FileRule):
     title = "cache shards opened outside server/shards.py lock helpers"
     hint = (
         "go through ShardedDiskTier (get/store) — raw opens bypass "
-        "the flock and atomic-replace protocol"
+        "the shard lock and atomic-replace protocol"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -148,6 +150,7 @@ STORE_FILE_MARKERS = (
     "cache-index",
     "cache_index",
     "index_path",
+    "index_log",
     "store-config",
     "store_config",
     "config_path",
@@ -161,15 +164,17 @@ STORE_WRITE_ALLOWLIST = {
     "src/repro/server/shards.py": {
         "_write_shard",
         "_write_index",
+        "_log_handle",
         "_persist_limits",
         "_quarantine_entry",
     },
     "src/repro/server/store_gc.py": {"_write_journal"},
 }
 """The only (module, function) pairs allowed to write store files.
-Each helper holds the appropriate lock and writes atomically; the
-crash-recovery matrix in docs/cache-lifecycle.md is proved against
-exactly these write sites."""
+Each helper holds the appropriate lock and writes atomically — or, for
+the index log (``_log_handle``), opens the one ``O_APPEND`` handle
+every append goes through; the crash-recovery matrix in
+docs/cache-lifecycle.md is proved against exactly these write sites."""
 
 
 class StoreArtifactWriteRule(FileRule):
@@ -178,8 +183,8 @@ class StoreArtifactWriteRule(FileRule):
     rule_id = "REP009"
     title = "cache-store file written outside the locked atomic helpers"
     hint = (
-        "go through ShardedDiskTier / store_gc — journal, index, and "
-        "store-config writes must stay inside the allowlisted helpers "
+        "go through ShardedDiskTier / store_gc — journal, index, index-log "
+        "and store-config writes must stay inside the allowlisted helpers "
         "or crash recovery can no longer trust them"
     )
 

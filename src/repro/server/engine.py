@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import logging
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -80,6 +81,8 @@ from repro.service.racing import RaceToken
 from repro.service.stats import WinTally
 
 EXECUTOR_KINDS = ("thread", "process")
+
+logger = logging.getLogger(__name__)
 
 QUEUED = "queued"
 STARTED = "started"
@@ -385,7 +388,8 @@ class AsyncSolveEngine:
         completion order; each instance's own events are ordered
         ``queued``, (``started``, ``member_finished``...,) then exactly
         one terminal ``done`` / ``cancelled`` / ``failed``.  Results
-        are cached and the cache is flushed when the stream drains.
+        are cached and the cache is flushed when the stream drains
+        (see :meth:`_flush_cache`).
         """
         options = self._resolve_options(
             members,
@@ -443,7 +447,29 @@ class AsyncSolveEngine:
                 if self._active.get(case_id) is token:
                     del self._active[case_id]
             if self.cache is not None:
-                self.cache.flush()
+                self._flush_cache()
+
+    def _flush_cache(self) -> None:
+        """Persist the results a stream just sent.
+
+        Their answers are already out, so a store that cannot be written
+        (a full disk, say) costs durability, not the request: the
+        failure is counted in ``store_write_failures`` and logged once,
+        and the entries stay dirty for the next flush to retry.
+        ``solve-batch`` and ``cache prewarm`` flush directly and still
+        raise, since writing the store is their job.
+        """
+        try:
+            self.cache.flush()
+        except (OSError, SolverError) as exc:
+            stats = self.cache.stats
+            stats.store_write_failures += 1
+            if stats.store_write_failures == 1:
+                logger.warning(
+                    "cache store write failed (%s); answers are still "
+                    "served, and the next flush retries the write",
+                    exc,
+                )
 
     async def _solve_one(
         self,

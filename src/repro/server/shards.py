@@ -4,15 +4,23 @@ A single cache file rewritten whole on every flush would let two batch
 runners sharing it on a host silently drop each other's entries (last
 writer wins).  This tier spreads entries over ``16**prefix_len`` shard
 files keyed by the leading hex digits of the content hash, and makes
-every shard update a *merge* under an exclusive file lock followed by
-an atomic tempfile + ``os.replace`` — concurrent writers interleave per
-shard instead of clobbering each other, and a crash mid-write can never
-leave a torn shard behind.
+every shard update a *merge* under the store's writer lock followed by
+an atomic tempfile + ``os.replace`` — concurrent writers never clobber
+each other's entries, and a crash mid-write can never leave a torn
+shard behind.
 
-Locking uses ``fcntl.flock`` on a sidecar ``.lock`` file (never the
-shard itself: ``os.replace`` swaps inodes, and a lock on a replaced
-inode protects nothing).  On platforms without ``fcntl`` the tier
-degrades to lock-free atomic replaces — still torn-proof, but
+Writers, GC sweeps and compaction take one ``fcntl.flock`` on
+``shards.lock`` in the store root (never a shard itself: ``os.replace``
+swaps inodes, and a lock on a replaced inode protects nothing).  Every
+write already serializes on the index lock, so one lock for all shards
+costs no concurrency.  Readers take no lock: a shard changes only by
+atomic replace, so a reader sees a whole old file or a whole new one,
+and one that finds damage re-reads it under the lock and quarantines it
+there.  Lock order is gc → index → shards.  Stores written by older
+builds may hold ``shard-XX.lock`` sidecars; they are ignored, and since
+they do not exclude this build's writers, an older build must not write
+the same store at the same time.  On platforms without ``fcntl`` the
+tier degrades to lock-free atomic replaces — still torn-proof, but
 concurrent merges may then lose races; the repo only targets POSIX.
 
 A :class:`ShardedDiskTier` pointed at an existing single-file JSON
@@ -30,9 +38,15 @@ store is also *bounded* and *self-verifying*:
 * :class:`StoreLimits` caps the store by bytes/entries and ages entries
   out by TTL — exceeding a cap on the write path triggers the journaled
   GC pass in :mod:`repro.server.store_gc`;
-* a maintained index (``cache-index.json``) gives O(1) stats and cap
-  accounting, with rebuild-from-shards fallback whenever it is missing,
-  stale, or corrupt — the shards are always the authority;
+* a maintained index gives O(1) stats and cap accounting: a snapshot
+  (``cache-index.json``) plus an append-only log (``cache-index.log``)
+  of the changes since.  A write appends its records in one
+  ``O_APPEND`` write and never parses or rewrites the snapshot; the log
+  is folded into the snapshot by :meth:`ShardedDiskTier.load_index`
+  and whenever it holds more records than the snapshot has entries.
+  The index is rebuilt from the shards whenever it is missing, stale,
+  or corrupt (a torn log included) — the shards are always the
+  authority;
 * integrity mismatches on read are routed through the quarantine path
   (the damaged entry is moved aside and counted, never served).
 """
@@ -44,7 +58,18 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Set, Tuple, Union
+from typing import (
+    Any,
+    BinaryIO,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.exceptions import SolverError
 from repro.service import faults
@@ -62,8 +87,16 @@ SHARD_TYPE = "portfolio_cache_shard"
 SINGLE_FILE_TYPE = "portfolio_cache"
 
 INDEX_NAME = "cache-index.json"
+INDEX_LOG_NAME = "cache-index.log"
 INDEX_TYPE = "portfolio_cache_index"
 INDEX_FORMAT_VERSION = 1
+
+LOG_RECORD_FIELDS = (
+    {"k", "b", "c", "a", "v"},  # an entry written: its index meta
+    {"k", "a"},  # a batched access stamp
+    {"s", "z"},  # a shard re-stamped: [size, mtime_ns], or null if gone
+)
+"""The three shapes of an index-log record, one JSON object per line."""
 
 CONFIG_NAME = "store-config.json"
 CONFIG_TYPE = "portfolio_cache_store_config"
@@ -76,19 +109,48 @@ _QUARANTINE_LOGGED: Set[str] = set()
 request must not turn the log into a firehose."""
 
 
+def _claim_evidence_path(
+    directory: Path, name: str, suffix: str = ""
+) -> Path:
+    """A fresh ``<name>.corrupt-<unix-ts>[-n]<suffix>`` in ``directory``.
+
+    The path is created empty with ``O_EXCL``, so no other quarantine
+    can take it: two quarantines of one file within a second keep both
+    pieces of evidence (``-1``, ``-2``, ... after the first).  The
+    caller replaces the placeholder with the evidence.
+    """
+    stamp = int(wall_now())
+    taken = 0
+    while True:
+        tail = f"-{taken}" if taken else ""
+        target = directory / f"{name}.corrupt-{stamp}{tail}{suffix}"
+        try:
+            os.close(
+                os.open(target, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+            )
+        except FileExistsError:
+            taken += 1
+            continue
+        return target
+
+
 def quarantine_file(path: Path, reason: str) -> Optional[Path]:
     """Move a corrupt cache file aside and log it (once per process).
 
-    The file is renamed to ``<name>.corrupt-<unix-ts>`` in place, so
-    the bad bytes stay available for a postmortem while readers start
-    cold — a torn shard costs re-solving its entries, never the solve
-    itself.  Returns the quarantine path, or ``None`` if the rename
-    lost a race (another process already moved it).
+    The file is renamed to ``<name>.corrupt-<unix-ts>`` in place (see
+    :func:`_claim_evidence_path`), so the bad bytes stay available for a
+    postmortem while readers start cold — a torn shard costs re-solving
+    its entries, never the solve itself.  Returns the quarantine path,
+    or ``None`` if the rename lost a race (another process already
+    moved it).
     """
-    target = path.with_name(f"{path.name}.corrupt-{int(wall_now())}")
+    target = None
     try:
+        target = _claim_evidence_path(path.parent, path.name)
         os.replace(path, target)
     except OSError:
+        if target is not None:
+            target.unlink(missing_ok=True)
         return None  # already quarantined (or deleted) by someone else
     key = str(path)
     if key not in _QUARANTINE_LOGGED:
@@ -258,9 +320,10 @@ class ShardedDiskTier:
     """Disk storage for :class:`repro.service.cache.ResultCache`.
 
     The memory tier reads through it per key: ``get`` fetches one entry
-    from its shard (verifying its integrity hash and TTL), and ``store``
-    merges dirty entries into their shards under per-shard locks,
-    maintains the index, and enforces the store caps.
+    from its shard without a lock (verifying its integrity hash and
+    TTL), and ``store`` merges dirty entries into their shards under
+    the shard lock, appends its changes to the index log, and enforces
+    the store caps.
     """
 
     def __init__(
@@ -281,8 +344,19 @@ class ShardedDiskTier:
         self.gc_runs = 0
         self.store_evictions = 0
         self._touches: Dict[str, float] = {}
+        # The index as this process last read it: per-key sizes (what
+        # the counts follow), the snapshot and log they came from (held
+        # open, so neither inode number can be reused while a write
+        # compares it with the path's), and how much of the log is in.
+        self._sizes: Dict[str, int] = {}
         self._approx_bytes = 0
-        self._approx_entries = 0
+        self._snapshot: Optional[BinaryIO] = None
+        self._snapshot_ino = -1
+        self._snapshot_entries = 0
+        self._log: Optional[BinaryIO] = None
+        self._log_ino = -1
+        self._log_end = 0
+        self._log_records = 0
         self._open(limits)
         if limits is None:
             limits = self._load_persisted_limits()
@@ -299,14 +373,17 @@ class ShardedDiskTier:
             raise SolverError(f"cache key {key!r} is not a hex digest")
         return self.root / f"shard-{prefix}.json"
 
-    def _lock_path(self, shard: Path) -> Path:
-        return shard.with_suffix(".lock")
+    def _shards_lock(self) -> Path:
+        return self.root / "shards.lock"
 
     def _global_lock(self) -> Path:
         return self.root.parent / f"{self.root.name}.open.lock"
 
     def index_path(self) -> Path:
         return self.root / INDEX_NAME
+
+    def index_log_path(self) -> Path:
+        return self.root / INDEX_LOG_NAME
 
     def _index_lock(self) -> Path:
         return self.root / "cache-index.lock"
@@ -426,7 +503,9 @@ class ShardedDiskTier:
             return None
 
     # -- shard IO ------------------------------------------------------
-    def _read_shard(self, shard: Path) -> Dict[str, Dict[str, Any]]:
+    def _read_shard(
+        self, shard: Path, *, quarantine: bool = True
+    ) -> Optional[Dict[str, Dict[str, Any]]]:
         """One shard's ``{"entries": ..., "meta": ...}``; damage is
         quarantined, not fatal.
 
@@ -438,24 +517,27 @@ class ShardedDiskTier:
         shard from a *newer* format version is healthy data this build
         can't parse: that still raises rather than destroying it.
         Version-1 shards simply have no ``meta`` map.
+
+        Quarantine needs the shard lock.  A reader without it passes
+        ``quarantine=False`` and gets ``None`` for damage, then re-reads
+        under the lock.
         """
-        empty: Dict[str, Dict[str, Any]] = {"entries": {}, "meta": {}}
         try:
             with open(shard) as stream:
                 payload = json.load(stream)
         except FileNotFoundError:
-            return empty
+            return {"entries": {}, "meta": {}}
         except json.JSONDecodeError as exc:
-            self._quarantine(shard, f"bad JSON: {exc}")
-            return empty
+            return self._damaged(shard, f"bad JSON: {exc}", quarantine)
         except OSError as exc:
             raise SolverError(f"cannot load cache shard {shard}: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("type") != SHARD_TYPE:
             kind = (
                 payload.get("type") if isinstance(payload, dict) else None
             )
-            self._quarantine(shard, f"not a cache shard (type={kind!r})")
-            return empty
+            return self._damaged(
+                shard, f"not a cache shard (type={kind!r})", quarantine
+            )
         if payload.get("version", 0) > SHARD_FORMAT_VERSION:
             raise SolverError(
                 f"cache shard {shard} has version {payload['version']}, "
@@ -463,14 +545,24 @@ class ShardedDiskTier:
             )
         entries = payload.get("entries")
         if not isinstance(entries, dict):
-            self._quarantine(
-                shard, f"entries is {type(entries).__name__}, not an object"
+            return self._damaged(
+                shard,
+                f"entries is {type(entries).__name__}, not an object",
+                quarantine,
             )
-            return empty
         meta = payload.get("meta")
         if not isinstance(meta, dict):
             meta = {}
         return {"entries": entries, "meta": meta}
+
+    def _damaged(
+        self, shard: Path, reason: str, quarantine: bool
+    ) -> Optional[Dict[str, Dict[str, Any]]]:
+        """What :meth:`_read_shard` returns for a damaged shard."""
+        if not quarantine:
+            return None
+        self._quarantine(shard, reason)
+        return {"entries": {}, "meta": {}}
 
     def _quarantine(self, shard: Path, reason: str) -> None:
         if quarantine_file(shard, reason) is not None:
@@ -512,8 +604,8 @@ class ShardedDiskTier:
             by_shard.setdefault(self.shard_path(key), {})[key] = payload
         written: Dict[str, Dict[str, Any]] = {}
         now = wall_now()
-        for shard, fresh in sorted(by_shard.items()):
-            with locked_file(self._lock_path(shard)):
+        with locked_file(self._shards_lock()):
+            for shard, fresh in sorted(by_shard.items()):
                 data = self._read_shard(shard)
                 merged = data["entries"]
                 meta = data["meta"]
@@ -530,23 +622,26 @@ class ShardedDiskTier:
     # -- read / write --------------------------------------------------
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         shard = self.shard_path(key)
-        with locked_file(self._lock_path(shard)):
-            data = self._read_shard(shard)
-            payload = data["entries"].get(key)
-            if payload is None:
-                return None
-            meta = data["meta"].get(key)
-            if meta is not None:
-                if not verify_entry(payload, meta):
+        # No lock: shards change only by atomic replace, so this reads a
+        # whole file.  Damage is re-read under the lock, where no writer
+        # can replace the shard meanwhile, and quarantined there.
+        data = self._read_shard(shard, quarantine=False)
+        if data is None or not _intact(data, key):
+            with locked_file(self._shards_lock()):
+                data = self._read_shard(shard)
+                if not _intact(data, key):
                     self._quarantine_entry(
                         shard, data, key, "integrity hash mismatch"
                     )
                     return None
-                if self.limits.expired(meta.get("c"), ttl_now()):
-                    return None  # past TTL: evictable, never servable
-        # Record the access outside the shard lock; stamps batch into
-        # the index on the next store()/sync_index() instead of costing
-        # a write per read.
+        payload = data["entries"].get(key)
+        if payload is None:
+            return None
+        meta = data["meta"].get(key)
+        if meta is not None and self.limits.expired(meta.get("c"), ttl_now()):
+            return None  # past TTL: evictable, never servable
+        # Stamps batch into the index on the next store()/sync_index()
+        # instead of costing a write per read.
         self._touches[key] = ttl_now()
         return payload
 
@@ -566,8 +661,8 @@ class ShardedDiskTier:
         """
         payload = data["entries"].pop(key)
         meta = data["meta"].pop(key, None)
-        quarantine_path = self.root / (
-            f"entry-{key[:16]}.corrupt-{int(wall_now())}.json"
+        quarantine_path = _claim_evidence_path(
+            self.root, f"entry-{key[:16]}", ".json"
         )
         atomic_write_json(
             quarantine_path,
@@ -594,8 +689,8 @@ class ShardedDiskTier:
         dirty: Optional[Set[str]] = None,
     ) -> None:
         """Merge ``entries`` (restricted to ``dirty`` keys) into shards,
-        fold the new metadata + batched access stamps into the index,
-        and enforce the store caps (which may trigger a GC pass)."""
+        log the new metadata + batched access stamps to the index, and
+        enforce the store caps (which may trigger a GC pass)."""
         if dirty is not None:
             entries = {
                 key: entries[key] for key in dirty if key in entries
@@ -606,7 +701,7 @@ class ShardedDiskTier:
         if written or self._touches:
             self._update_index(written)
         if self.limits.enabled() and self.limits.over_caps(
-            self._approx_bytes, self._approx_entries
+            self._approx_bytes, len(self._sizes)
         ):
             from repro.server.store_gc import run_gc
 
@@ -620,43 +715,278 @@ class ShardedDiskTier:
             self._update_index({})
 
     # -- index ---------------------------------------------------------
-    def _read_index(self) -> Optional[Dict[str, Any]]:
-        """The raw index payload, or ``None`` when missing or damaged
-        (damage is quarantined; the caller rebuilds from shards)."""
-        path = self.index_path()
+    def _update_index(self, written: Dict[str, Dict[str, Any]]) -> None:
+        """Log fresh meta, batched touches and the written shards' new
+        stamps to the index.
+
+        The write never parses or rewrites the snapshot: under the index
+        lock it stats the snapshot, takes in the records other writers
+        appended since its last write, and appends its own in one
+        write.  It folds only once the log holds more records than the
+        snapshot has entries, which keeps a write O(1) amortised.
+
+        Only the shards holding ``written`` keys are re-stamped.  A
+        shard rewritten without an index update (a writer that died
+        before this step, or an entry quarantined on read) thus keeps
+        its stale stamp until ``load_index(verify=True)`` notices and
+        rebuilds.  A missing or damaged index is rebuilt by a scan,
+        which stamps every shard.
+        """
+        touches, self._touches = self._touches, {}
+        records: List[Dict[str, Any]] = [
+            dict(k=key, b=meta["b"], c=meta["c"], a=meta["a"], v=meta.get("v"))
+            for key, meta in written.items()
+        ]
+        records.extend(dict(k=key, a=stamp) for key, stamp in touches.items())
+        with locked_file(self._index_lock()):
+            for shard in sorted({self.shard_path(key) for key in written}):
+                stamp = self._shard_stamp(shard)
+                records.append(dict(s=shard.name, z=stamp and list(stamp)))
+            if not self._follow_index():
+                self._rebuild(records)
+                return
+            self._append_log(records)
+            if self._log_records > self._snapshot_entries:
+                if self._fold() is None:
+                    self._rebuild(records)
+
+    def _follow_index(self) -> bool:
+        """Under the index lock: bring the counts up to the index on
+        disk before appending to it.
+
+        One ``stat`` each of the snapshot and the log tells whether
+        another process folded or rebuilt the index since this one last
+        looked (its snapshot, or the log it holds, is no longer the one
+        at the path); then the counts start over from the snapshot.
+        Either way the records appended since are read and counted.
+        ``False`` when the snapshot is missing, or it or the log is
+        damaged: the caller rebuilds by a scan.
+        """
         try:
-            with open(path) as stream:
-                payload = json.load(stream)
+            snapshot_ino = os.stat(self.index_path()).st_ino
+        except FileNotFoundError:
+            return False
+        log = self._log_stat()
+        replaced = snapshot_ino != self._snapshot_ino or (
+            self._log is not None
+            and (log is None or log.st_ino != self._log_ino)
+        )
+        if replaced and self._reload() is None:
+            return False
+        return self._read_log(log) is not None
+
+    def _fold(self) -> Optional[Dict[str, Any]]:
+        """Under the index lock: the snapshot with the log applied.
+
+        A non-empty log is folded: the snapshot is rewritten with its
+        records and the log emptied, in that order — a crash between
+        the two leaves records the snapshot already holds, and applying
+        them again changes nothing.  ``None`` when the snapshot is
+        missing, or it or the log is damaged (quarantined); the caller
+        rebuilds from the shards.
+        """
+        payload = self._reload()
+        if payload is None:
+            return None
+        records = self._read_log(self._log_stat())
+        if records is None:
+            return None
+        if records:
+            for record in records:
+                _apply_record(payload, record)
+            self._write_index(payload)
+            self._empty_log()
+            self._snapshot_entries = len(payload["entries"])
+        return payload
+
+    def _reload(self) -> Optional[Dict[str, Any]]:
+        """Under the index lock: the snapshot at the path, with the
+        counts started over from it (``None`` if missing or damaged)."""
+        self._close_log()
+        payload = self._read_index()
+        if payload is not None:
+            self._reset_counts(payload)
+        return payload
+
+    def _rebuild(
+        self, records: Iterable[Dict[str, Any]] = ()
+    ) -> Dict[str, Any]:
+        """Under the index lock: the index rebuilt by a scan of the
+        shards, plus ``records``.
+
+        The log is emptied before the snapshot is written: a crash
+        between the two leaves a stale snapshot, which
+        ``load_index(verify=True)`` catches, never log records that
+        bring back keys a GC pass removed.
+        """
+        payload = self._scan_for_index()
+        for record in records:
+            _apply_record(payload, record)
+        self._empty_log()
+        self._write_index(payload)
+        self._reset_counts(payload)
+        return payload
+
+    def _read_index(self) -> Optional[Dict[str, Any]]:
+        """The snapshot's payload, or ``None`` when missing or damaged
+        (damage is quarantined; the caller rebuilds from shards).  The
+        snapshot read is held open as the one the counts start from."""
+        path = self.index_path()
+        stream = None
+        try:
+            stream = open(path, "rb")
+            payload = json.load(stream)
+            reason = "not a cache index"
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError) as exc:
-            if quarantine_file(path, f"bad index: {exc}") is not None:
-                self.quarantined += 1
-            return None
+        except (OSError, ValueError) as exc:
+            payload, reason = None, f"bad index: {exc}"
         if (
             not isinstance(payload, dict)
             or payload.get("type") != INDEX_TYPE
             or not isinstance(payload.get("entries"), dict)
         ):
-            if quarantine_file(path, "not a cache index") is not None:
+            if stream is not None:
+                stream.close()
+            if quarantine_file(path, reason) is not None:
                 self.quarantined += 1
             return None
         if payload.get("version", 0) > INDEX_FORMAT_VERSION:
             # Unlike shards, the index holds no unique data — a newer
             # index is simply ignored and rebuilt in this format.
+            stream.close()
             return None
+        self._hold_snapshot(stream)
         return payload
 
     def _write_index(self, payload: Dict[str, Any]) -> None:
         atomic_write_json(
             self.index_path(), payload, sort_keys=True, indent=None
         )
-        # Chaos seam: truncate the index just written — the next reader
-        # must fall back to rebuilding from the shards (one-shot).
-        if faults.should_corrupt_index_write():
-            with open(self.index_path(), "w") as stream:
-                stream.write('{"version": 1, "type": "portfolio_cache_ind')
+        self._hold_snapshot(open(self.index_path(), "rb"))
 
+    def _hold_snapshot(self, stream: BinaryIO) -> None:
+        if self._snapshot is not None:
+            self._snapshot.close()
+        self._snapshot = stream
+        self._snapshot_ino = os.fstat(stream.fileno()).st_ino
+
+    def _reset_counts(self, payload: Dict[str, Any]) -> None:
+        """Counts from a snapshot, with none of the log applied yet."""
+        self._sizes = {
+            key: _entry_bytes(meta)
+            for key, meta in payload["entries"].items()
+        }
+        self._approx_bytes = sum(self._sizes.values())
+        self._snapshot_entries = len(self._sizes)
+        self._log_end = 0
+        self._log_records = 0
+
+    def _count(self, record: Dict[str, Any]) -> None:
+        if "b" in record:
+            size = _entry_bytes(record)
+            self._approx_bytes += size - self._sizes.get(record["k"], 0)
+            self._sizes[record["k"]] = size
+
+    # -- index log -----------------------------------------------------
+    def _log_stat(self) -> Optional[os.stat_result]:
+        try:
+            return os.stat(self.index_log_path())
+        except FileNotFoundError:
+            return None
+
+    def _log_handle(self) -> BinaryIO:
+        """The index log, held open for reads and ``O_APPEND`` writes.
+
+        The log's one writer: every append goes through this handle.
+        Opening creates the file, so only an append opens a missing
+        log — never opening the store.  Holding the log keeps its inode
+        number unique while :meth:`_follow_index` compares it with the
+        path's.
+        """
+        if self._log is None:
+            self._log = open(self.index_log_path(), "a+b", buffering=0)
+            self._log_ino = os.fstat(self._log.fileno()).st_ino
+        return self._log
+
+    def _close_log(self) -> None:
+        if self._log is not None:
+            self._log.close()
+            self._log = None
+
+    def _read_log(
+        self, log: Optional[os.stat_result]
+    ) -> Optional[List[Dict[str, Any]]]:
+        """The records appended since this process last read the log
+        (``log`` is its ``stat``), counted in; ``None`` if it is torn.
+
+        A line that does not parse, a last line with no newline (a
+        writer that died mid-append), or a log shorter than what was
+        already read is damage like a torn index: the log and the
+        snapshot are quarantined, and the caller rebuilds from the
+        shards.
+        """
+        if log is None or log.st_size == self._log_end:
+            return []
+        data = b""
+        if log.st_size > self._log_end:
+            data = os.pread(
+                self._log_handle().fileno(),
+                log.st_size - self._log_end,
+                self._log_end,
+            )
+        lines = data.split(b"\n")
+        try:
+            records = [json.loads(line) for line in lines[:-1]]
+        except ValueError:
+            records = None
+        if not data or lines[-1] or records is None or not all(
+            isinstance(record, dict) and set(record) in LOG_RECORD_FIELDS
+            for record in records
+        ):
+            self._close_log()
+            for path in (self.index_log_path(), self.index_path()):
+                if quarantine_file(path, "torn index log") is not None:
+                    self.quarantined += 1
+            return None
+        self._log_end += len(data)
+        self._log_records += len(records)
+        for record in records:
+            self._count(record)
+        return records
+
+    def _append_log(self, records: List[Dict[str, Any]]) -> None:
+        """Append ``records`` in one write.  The caller holds the index
+        lock and has read the log to its end (:meth:`_follow_index`)."""
+        data = "".join(
+            json.dumps(record, separators=(",", ":")) + "\n"
+            for record in records
+        ).encode("utf-8")
+        log = self._log_handle()
+        log.write(data)
+        self._log_end += len(data)
+        self._log_records += len(records)
+        for record in records:
+            self._count(record)
+        # Chaos seam: tear the record just appended, as a writer that
+        # died mid-append would — the next reader must quarantine the
+        # log and rebuild from the shards (one-shot).
+        if faults.should_corrupt_index_write():
+            last = len(json.dumps(records[-1], separators=(",", ":")))
+            os.ftruncate(log.fileno(), self._log_end - last // 2)
+
+    def _empty_log(self) -> None:
+        """Empty the log in place: its inode stays, so every writer that
+        holds it appends to the live log (a fold or rebuild changes the
+        snapshot, which tells them to start over from it)."""
+        try:
+            os.truncate(self.index_log_path(), 0)
+        except FileNotFoundError:
+            pass
+        self._log_end = 0
+        self._log_records = 0
+
+    # -- stamps and scans ----------------------------------------------
     @staticmethod
     def _shard_stamp(shard: Path) -> Optional[Tuple[int, int]]:
         """``(size, mtime_ns)`` of one shard, ``None`` if it is gone."""
@@ -677,61 +1007,16 @@ class ShardedDiskTier:
                 stamps[shard.name] = stamp
         return stamps
 
-    def _index_totals(self, payload: Dict[str, Any]) -> Tuple[int, int]:
-        entries = payload.get("entries", {})
-        total = 0
-        for meta in entries.values():
-            if isinstance(meta, dict):
-                total += int(meta.get("b", 0) or 0)
-        return total, len(entries)
-
-    def _update_index(self, written: Dict[str, Dict[str, Any]]) -> None:
-        """Fold fresh meta + batched touches into the on-disk index.
-
-        Only the shards holding ``written`` keys are re-stamped.  A
-        shard rewritten without an index update (a writer that died
-        before this step, or an entry quarantined on read) thus keeps
-        its stale stamp until ``load_index(verify=True)`` notices and
-        rebuilds.  A missing or corrupt index is rebuilt by a scan,
-        which stamps every shard.
-        """
-        touches, self._touches = self._touches, {}
-        with locked_file(self._index_lock()):
-            payload = self._read_index()
-            if payload is None:
-                payload = self._scan_for_index()
-            else:
-                stamps = payload.setdefault("shards", {})
-                for shard in {self.shard_path(key) for key in written}:
-                    stamp = self._shard_stamp(shard)
-                    if stamp is None:
-                        stamps.pop(shard.name, None)
-                    else:
-                        stamps[shard.name] = list(stamp)
-            index_entries = payload["entries"]
-            for key, meta in written.items():
-                index_entries[key] = {
-                    "b": meta["b"],
-                    "c": meta["c"],
-                    "a": meta["a"],
-                    "v": meta.get("v"),
-                }
-            for key, stamp in touches.items():
-                slot = index_entries.get(key)
-                if slot is not None:
-                    slot["a"] = max(slot.get("a", 0) or 0, stamp)
-            self._write_index(payload)
-            self._approx_bytes, self._approx_entries = self._index_totals(
-                payload
-            )
-
     def _scan_for_index(self) -> Dict[str, Any]:
         """Authoritative index payload built by reading every shard;
         every shard is stamped once the reads are done."""
         entries: Dict[str, Dict[str, Any]] = {}
-        for shard in sorted(self.root.glob("shard-*.json")):
-            with locked_file(self._lock_path(shard)):
-                data = self._read_shard(shard)
+        with locked_file(self._shards_lock()):
+            shards = [
+                self._read_shard(shard)
+                for shard in sorted(self.root.glob("shard-*.json"))
+            ]
+        for data in shards:
             for key, payload in data["entries"].items():
                 meta = data["meta"].get(key)
                 if meta is None:
@@ -760,23 +1045,19 @@ class ShardedDiskTier:
     def rebuild_index(self) -> Dict[str, Any]:
         """Rebuild the index from the shards (the recovery fallback)."""
         with locked_file(self._index_lock()):
-            payload = self._scan_for_index()
-            self._write_index(payload)
-            self._approx_bytes, self._approx_entries = self._index_totals(
-                payload
-            )
-        return payload
+            return self._rebuild()
 
     def load_index(self, *, verify: bool = False) -> Dict[str, Any]:
-        """The index payload, rebuilt from shards when missing, corrupt,
-        or (with ``verify=True``) stale against the shard files.
+        """The index payload with the log folded in, rebuilt from shards
+        when missing, corrupt, or (with ``verify=True``) stale against
+        the shard files.
 
         Staleness means a writer crashed between its shard write and
         its index update, or a foreign process wrote shards without
         maintaining the index — either way the shards win.
         """
         with locked_file(self._index_lock()):
-            payload = self._read_index()
+            payload = self._fold()
         if payload is None:
             return self.rebuild_index()
         if verify:
@@ -786,9 +1067,6 @@ class ShardedDiskTier:
             }
             if recorded != self._shard_stamps():
                 return self.rebuild_index()
-        self._approx_bytes, self._approx_entries = self._index_totals(
-            payload
-        )
         return payload
 
     def bytes_used(self) -> int:
@@ -796,22 +1074,58 @@ class ShardedDiskTier:
         return self._approx_bytes
 
     def entry_count(self) -> int:
-        return self._approx_entries
+        return len(self._sizes)
 
     # -- introspection -------------------------------------------------
     def keys(self) -> Set[str]:
         """Every key currently on disk (reads all shards; test/debug)."""
         found: Set[str] = set()
-        for shard in sorted(self.root.glob("shard-*.json")):
-            with locked_file(self._lock_path(shard)):
+        with locked_file(self._shards_lock()):
+            for shard in sorted(self.root.glob("shard-*.json")):
                 found.update(self._read_shard(shard)["entries"])
         return found
 
     def __len__(self) -> int:
         return len(self.keys())
 
+    def __del__(self) -> None:
+        # The held snapshot and log only pin their inode numbers: close
+        # them with the tier rather than leave them to the collector,
+        # which warns about unclosed files.
+        for name in ("_snapshot", "_log"):
+            handle = getattr(self, name, None)
+            if handle is not None:
+                handle.close()
+
     def __repr__(self) -> str:
         return (
             f"ShardedDiskTier({str(self.root)!r}, "
             f"prefix_len={self.prefix_len}, limits={self.limits})"
         )
+
+
+def _intact(data: Dict[str, Dict[str, Any]], key: str) -> bool:
+    """Is ``key``'s entry absent, legacy, or matching its hash?"""
+    payload = data["entries"].get(key)
+    meta = data["meta"].get(key)
+    return payload is None or meta is None or verify_entry(payload, meta)
+
+
+def _entry_bytes(meta: Any) -> int:
+    return int(meta.get("b", 0) or 0) if isinstance(meta, dict) else 0
+
+
+def _apply_record(payload: Dict[str, Any], record: Dict[str, Any]) -> None:
+    """Apply one index-log record (see :data:`LOG_RECORD_FIELDS`)."""
+    if "s" in record:
+        stamps = payload.setdefault("shards", {})
+        if record["z"] is None:
+            stamps.pop(record["s"], None)
+        else:
+            stamps[record["s"]] = record["z"]
+    elif "b" in record:
+        payload["entries"][record["k"]] = {f: record[f] for f in "bcav"}
+    else:
+        slot = payload["entries"].get(record["k"])
+        if slot is not None:
+            slot["a"] = max(slot.get("a", 0) or 0, record["a"])

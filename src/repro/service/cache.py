@@ -5,11 +5,13 @@ tuple plus the column count, exactly the fields :class:`BinaryMatrix`
 hashes on — so any reconstruction of an equal matrix hits the same
 entry.  The in-memory tier is a bounded LRU.  The one disk tier is
 :class:`repro.server.shards.ShardedDiskTier` (``ResultCache.sharded``):
-hash-prefix shard files with ``fcntl`` locking and merge-on-write, safe
-for concurrent runners sharing one cache directory, written through an
-atomic tempfile + ``os.replace`` so a crash mid-flush can never leave a
-torn shard.  Pointed at a single-file JSON cache written by older
-builds, it migrates that file in place on first open.
+hash-prefix shard files merged under one ``fcntl`` writer lock, safe
+for concurrent runners sharing one cache directory, and written through
+an atomic tempfile + ``os.replace``, so a crash mid-flush can never
+leave a torn shard and reads need no lock.  A flush appends its index
+changes to a log rather than rewriting the index, so it costs the same
+at any store size.  Pointed at a single-file JSON cache written by
+older builds, the tier migrates that file in place on first open.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ class CacheStats:
     """Entries whose stored content hash no longer matched on read."""
     bytes_used: int = 0
     """Approximate payload bytes on disk (index-backed; sharded tier only)."""
+    store_write_failures: int = 0
+    """Flushes the serving engine could not write to the disk tier; the
+    entries stayed dirty for the next flush (see ``server/engine.py``)."""
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -81,6 +86,7 @@ class CacheStats:
             "gc_runs": self.gc_runs,
             "integrity_failures": self.integrity_failures,
             "bytes_used": self.bytes_used,
+            "store_write_failures": self.store_write_failures,
         }
 
 
@@ -241,7 +247,10 @@ class ResultCache:
     # Disk tier
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Persist fresh entries to the disk tier (no-op without one)."""
+        """Persist fresh entries to the disk tier (no-op without one).
+
+        If the tier raises, the entries stay dirty and the next flush
+        retries them."""
         if self.storage is None:
             return
         if self._evicted_dirty:

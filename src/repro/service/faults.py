@@ -71,10 +71,11 @@ class FaultPlan:
     pass dies abruptly via ``os._exit`` — indistinguishable from
     ``kill -9`` as far as on-disk state goes, so it fires in whatever
     process runs GC (chaos tests arm it only in subprocesses via
-    ``REPRO_FAULTS``).  ``corrupt_index_on_write`` truncates the next
-    cache-index write (one-shot), and ``ttl_skew_seconds`` shifts the
-    wall clock the TTL math sees, simulating NTP jumps between the
-    writer that stamped an entry and the GC judging its age.
+    ``REPRO_FAULTS``).  ``corrupt_index_on_write`` tears the next
+    record appended to the cache-index log (one-shot), and
+    ``ttl_skew_seconds`` shifts the wall clock the TTL math sees,
+    simulating NTP jumps between the writer that stamped an entry and
+    the GC judging its age.
     """
 
     kill_worker_on_case: Optional[Union[int, str]] = None
@@ -232,7 +233,7 @@ def maybe_crash_gc(state: str) -> None:
 
 
 def should_corrupt_index_write() -> bool:
-    """One-shot: corrupt the next cache-index write, then disarm."""
+    """One-shot: tear the next cache-index log append, then disarm."""
     plan = active()
     if plan is None or not plan.corrupt_index_on_write:
         return False

@@ -676,6 +676,26 @@ class TestRep009StoreArtifactWrites:
         report = lint(root, rules="REP009")
         assert rule_ids(report) == ["REP009"]
 
+    def test_index_log_append_outside_its_helper_flagged(
+        self, make_project, lint
+    ):
+        root = make_project(
+            {
+                "src/repro/server/shards.py": """
+                def _log_handle(self):
+                    return open(self.index_log_path(), "a+b", buffering=0)
+
+                def stamp(self, line):
+                    with open(self.index_log_path(), "ab") as stream:
+                        stream.write(line)
+                """
+            }
+        )
+        report = lint(root, rules="REP009")
+        assert rule_ids(report) == ["REP009"]
+        assert "index_log_path" in report.findings[0].message
+        assert report.findings[0].line_text.startswith("with open(")
+
     def test_allowlisted_helpers_pass(self, make_project, lint):
         root = make_project(
             {

@@ -5,6 +5,8 @@ tests/conftest.py (no pytest-asyncio).
 """
 
 import asyncio
+import errno
+import os
 
 import pytest
 
@@ -166,6 +168,31 @@ class TestProcessExecutor:
         assert stats["cache_hit_rate"] == 0.5
         assert stats["wins"] == {"trivial": 1}
         assert stats["win_rates"] == {"trivial": 1.0}
+
+
+class TestStoreWriteFailure:
+    async def test_failed_flush_keeps_the_answer_and_retries(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ResultCache.sharded(tmp_path / "cache", capacity=8)
+        storage = cache.storage
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(storage, "store", full_disk)
+        async with AsyncSolveEngine(
+            members=("trivial",), seed=7, cache=cache
+        ) as engine:
+            failed = await _collect(engine, [("a", FAST_MATRICES[0])])
+            assert _kinds(failed, "a")[-1] == DONE
+            assert engine.stats()["cache"]["store_write_failures"] == 1
+            monkeypatch.undo()  # the disk has room again
+            await _collect(engine, [("b", FAST_MATRICES[1])])
+            assert engine.stats()["cache"]["store_write_failures"] == 1
+        # The failed stream's entry stayed dirty and the next flush
+        # wrote it.
+        assert len(storage.keys()) == 2
 
 
 class TestBatchEquivalence:

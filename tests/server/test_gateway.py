@@ -9,7 +9,9 @@ events must cross the process boundary and reach a remote client
 """
 
 import asyncio
+import errno
 import json
+import os
 import socket
 import threading
 import time
@@ -36,6 +38,7 @@ from repro.server.tenancy import (
     TenantRegistry,
     TenantState,
 )
+from repro.service.cache import ResultCache
 
 MEMBERS = ("trivial", "packing:4", "sap")
 
@@ -90,6 +93,11 @@ def gateway():
 
 def _address(gateway: SolveGateway):
     return ("127.0.0.1", gateway.port)
+
+
+
+def _full_disk(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 class TestRoundTrip:
@@ -420,3 +428,27 @@ class TestRequestParsing:
         assert parse_priority({"priority": 1}, tenant) == 5
         with pytest.raises(SolverError):
             parse_priority({"priority": "high"}, tenant)
+
+
+class TestStoreWriteFailure:
+    def test_full_disk_still_ends_the_batch(self, tmp_path, monkeypatch):
+        # The answers were already streamed when the flush fails, so
+        # the request ends with batch_done, not error.
+        cache = ResultCache.sharded(tmp_path / "cache")
+        monkeypatch.setattr(cache.storage, "store", _full_disk)
+        instance = SolveGateway(
+            AsyncSolveEngine(members=("trivial",), seed=7, cache=cache),
+            port=0,
+        )
+        thread = _start(instance)
+        try:
+            events = list(
+                client.submit(
+                    _address(instance), [("eq2", equation_2())], timeout=30
+                )
+            )
+            metrics = client.fetch_metrics(_address(instance), timeout=5)
+        finally:
+            _stop(instance, thread)
+        assert [e["event"] for e in events][-2:] == ["done", "batch_done"]
+        assert metrics["engine"]["cache"]["store_write_failures"] == 1

@@ -6,13 +6,17 @@ Unit-level coverage for the shard-format-v2 machinery in
 end; these tests pin the individual contracts it is built from.
 """
 
+import builtins
 import hashlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
 from repro.core.exceptions import SolverError
 from repro.server.shards import (
+    INDEX_LOG_NAME,
     INDEX_NAME,
     ShardedDiskTier,
     StoreLimits,
@@ -21,6 +25,7 @@ from repro.server.shards import (
     make_entry_meta,
     verify_entry,
 )
+from repro.server.store_gc import run_gc
 from repro.service.cache import ResultCache
 from repro.service.schema import SOLVER_SCHEMA_VERSION
 from repro.utils.clock import FixedClock, installed
@@ -316,6 +321,201 @@ class TestIndex:
             tier.sync_index()
             index = tier.load_index()
             assert index["entries"][key]["a"] == 1_050.0
+
+
+
+def _warm(root, count: int = 20) -> ShardedDiskTier:
+    """A store of ``count`` entries with its log folded, so the next
+    few writes stay below the fold threshold."""
+    tier = ShardedDiskTier(root)
+    for n in range(count):
+        tier.store({_key(f"warm-{n}"): _payload(f"warm-{n}")})
+    tier.load_index()
+    return tier
+
+
+def _spy_files(monkeypatch):
+    """Record every path opened or replaced, and the files created by
+    an open of a path that did not exist."""
+    created, touched = [], []
+    real_os_open, real_open, real_replace = os.open, builtins.open, os.replace
+
+    def os_open(path, flags, *args, **kwargs):
+        touched.append(str(path))
+        if flags & os.O_CREAT and not os.path.exists(path):
+            created.append(str(path))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def open_(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            touched.append(str(file))
+            if any(c in mode for c in "wax") and not os.path.exists(file):
+                created.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    def replace(src, dst, *args, **kwargs):
+        touched.append(str(dst))
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(builtins, "open", open_)
+    monkeypatch.setattr(os, "replace", replace)
+    return created, touched
+
+
+def _second_writer(root, ready, go, results) -> None:
+    """Writer-process body for the two-writer count test."""
+    tier = ShardedDiskTier(root)
+    ready.set()
+    go.wait(30)
+    tier.store({_key(f"second-{n}"): _payload(f"second-{n}") for n in (0, 1)})
+    results.put((tier.entry_count(), tier.bytes_used()))
+
+
+class TestIndexLog:
+    def test_miss_creates_one_file_and_leaves_the_snapshot_alone(
+        self, tmp_path, monkeypatch
+    ):
+        # The write path's cost guard: below the fold threshold a miss
+        # (get, then store of a fresh key) creates only the shard's
+        # tempfile and neither reads nor writes cache-index.json.
+        tier = _warm(tmp_path / "store")
+        key = _key("fresh")
+        created, touched = _spy_files(monkeypatch)
+        assert tier.get(key) is None
+        tier.store({key: _payload("fresh")})
+        monkeypatch.undo()
+        assert len(created) == 1, created
+        assert os.path.basename(created[0]).startswith(".shard-")
+        index = str(tier.index_path())
+        assert not [path for path in touched if path.startswith(index)]
+        assert not [path for path in touched if ".cache-index.json." in path]
+        assert ShardedDiskTier(tmp_path / "store").entry_count() == 21
+
+    def test_opening_a_store_creates_no_log(self, tmp_path):
+        root = tmp_path / "store"
+        tier = ShardedDiskTier(root)
+        assert not (root / INDEX_LOG_NAME).exists()
+        tier.store({_key("a"): _payload("a")})
+        assert (root / INDEX_LOG_NAME).exists()
+
+    def test_write_path_folds_past_the_snapshot_entry_count(self, tmp_path):
+        root = tmp_path / "store"
+        tier = _warm(root, 20)
+        snapshot = (root / INDEX_NAME).stat().st_ino
+        # Each write logs two records (its entry and its shard's stamp),
+        # so the eleventh write takes the log past 20 records.
+        for n in range(10):
+            tier.store({_key(f"fold-{n}"): _payload(f"fold-{n}")})
+        assert (root / INDEX_NAME).stat().st_ino == snapshot
+        assert (root / INDEX_LOG_NAME).stat().st_size > 0
+        tier.store({_key("fold-10"): _payload("fold-10")})
+        assert (root / INDEX_NAME).stat().st_ino != snapshot
+        assert (root / INDEX_LOG_NAME).stat().st_size == 0
+        folded = json.loads((root / INDEX_NAME).read_text())
+        assert len(folded["entries"]) == 31
+        assert tier.entry_count() == 31
+
+    def test_torn_log_tail_rebuilds_from_shards_on_open(self, tmp_path):
+        root = tmp_path / "store"
+        tier = _warm(root, 6)
+        entries = {_key(f"t-{n}"): _payload(f"t-{n}") for n in range(3)}
+        for key, payload in entries.items():
+            tier.store({key: payload})
+        # A writer that died mid-append leaves half a record behind.
+        with open(root / INDEX_LOG_NAME, "ab") as log:
+            log.write(b'{"k":"ab')
+        reopened = ShardedDiskTier(root)
+        assert reopened.quarantined == 2  # the log and its snapshot
+        assert list(root.glob(f"{INDEX_LOG_NAME}.corrupt-*"))
+        assert list(root.glob(f"{INDEX_NAME}.corrupt-*"))
+        assert reopened.entry_count() == 9
+        for key, payload in entries.items():
+            assert reopened.get(key) == payload
+        for n in range(6):
+            assert reopened.get(_key(f"warm-{n}")) == _payload(f"warm-{n}")
+
+    def test_gc_after_logged_writes_leaves_no_evicted_key(self, tmp_path):
+        root = tmp_path / "store"
+        clock = FixedClock(1_000.0)
+        with installed(clock):
+            tier = _warm(root, 20)
+            other = ShardedDiskTier(root)  # a second writer, logging too
+            for n in range(4):
+                clock.advance(1.0)
+                other.store({_key(f"late-{n}"): _payload(f"late-{n}")})
+            tier.limits = StoreLimits(max_entries=10)
+            evicted = set(run_gc(tier).evicted_keys)
+            assert len(evicted) == 14
+            other.store({_key("after"): _payload("after")})
+        index = ShardedDiskTier(root).load_index()
+        assert evicted.isdisjoint(index["entries"])
+        assert len(index["entries"]) == 11
+        assert other.entry_count() == 11
+
+    def test_two_writer_processes_count_each_other(self, tmp_path):
+        root = tmp_path / "store"
+        first = _warm(root, 20)
+        snapshot = (root / INDEX_NAME).stat().st_mtime_ns
+        ctx = multiprocessing.get_context("fork")
+        ready, go, results = ctx.Event(), ctx.Event(), ctx.Queue()
+        second = ctx.Process(
+            target=_second_writer, args=(str(root), ready, go, results)
+        )
+        second.start()
+        try:
+            assert ready.wait(30)
+            first.store({_key("first-0"): _payload("first-0")})
+            go.set()
+            second_count, second_bytes = results.get(timeout=30)
+        finally:
+            second.join(30)
+        assert second.exitcode == 0
+        first.store({_key("first-1"): _payload("first-1")})
+        tags = [f"warm-{n}" for n in range(20)] + [
+            "first-0", "second-0", "second-1", "first-1"
+        ]
+        sizes = [len(canonical_payload_bytes(_payload(tag))) for tag in tags]
+        assert (second_count, second_bytes) == (23, sum(sizes[:23]))
+        assert (first.entry_count(), first.bytes_used()) == (24, sum(sizes))
+        # Both counted through the log: nobody rewrote the snapshot.
+        assert (root / INDEX_NAME).stat().st_mtime_ns == snapshot
+
+
+class TestQuarantineEvidence:
+    def test_two_torn_shards_in_one_second_keep_both(self, tmp_path):
+        with installed(FixedClock(1_000_000.0)):
+            tier = ShardedDiskTier(tmp_path / "store")
+            key = _key("twice")
+            shard = tier.shard_path(key)
+            for torn in (b'{"first', b'{"second'):
+                tier.store({key: _payload("twice")})
+                shard.write_bytes(torn)
+                assert tier.get(key) is None
+        assert tier.quarantined == 2
+        evidence = sorted(shard.parent.glob(f"{shard.name}.corrupt-*"))
+        assert sorted(path.read_bytes() for path in evidence) == [
+            b'{"first',
+            b'{"second',
+        ]
+
+    def test_two_entry_quarantines_in_one_second_keep_both(self, tmp_path):
+        with installed(FixedClock(1_000_000.0)):
+            tier = ShardedDiskTier(tmp_path / "store")
+            key = _key("entry-twice")
+            shard = tier.shard_path(key)
+            for tag in ("first", "second"):
+                tier.store({key: _payload("entry-twice")})
+                raw = json.loads(shard.read_text())
+                raw["entries"][key]["tag"] = tag
+                shard.write_text(json.dumps(raw))
+                assert tier.get(key) is None
+        assert tier.integrity_failures == 2
+        records = [
+            json.loads(path.read_text())
+            for path in (tmp_path / "store").glob(f"entry-{key[:16]}.corrupt-*")
+        ]
+        assert sorted(r["entry"]["tag"] for r in records) == ["first", "second"]
 
 
 class TestResultCacheLifecycleStats:
