@@ -7,7 +7,7 @@ or dict insertion order leaks into the bytes and every diff is noise.
 
 REP006 guards the sharded cache's crash-safety story: shard files are
 only read/written inside :mod:`repro.server.shards`'s helpers — an
-``open()`` of a shard path anywhere else bypasses both the shard lock
+``open()`` of a shard path anywhere else bypasses both the store lock
 and the atomic-replace protocol that lets readers go without it.
 
 REP009 extends the same discipline to every *other* file living inside
@@ -95,9 +95,9 @@ class SortedJsonRule(FileRule):
 SHARDS_MODULE = "src/repro/server/shards.py"
 SHARD_IO_HELPERS = {"_read_shard", "_write_shard", "_migrate_single_file"}
 """The only functions allowed to open shard files.  Writers hold the
-store's shard lock (``shards.lock``; for migration, the global open
-lock too); readers take none and rely on atomic replace, re-reading
-under the lock to quarantine damage."""
+store lock (``shards.lock``, which guards the index too; for migration,
+the global open lock as well); readers take none and rely on atomic
+replace, re-reading under the lock to quarantine damage."""
 
 
 class FlockShardIoRule(FileRule):
@@ -107,7 +107,7 @@ class FlockShardIoRule(FileRule):
     title = "cache shards opened outside server/shards.py lock helpers"
     hint = (
         "go through ShardedDiskTier (get/store) — raw opens bypass "
-        "the shard lock and atomic-replace protocol"
+        "the store lock and atomic-replace protocol"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

@@ -9,11 +9,11 @@ the batch fan-out width from ``REPRO_WORKERS``.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
+from repro.utils.fileio import atomic_write_json
 from repro.utils.rng import spawn_seeds
 
 ENV_FULL = "REPRO_FULL"
@@ -63,9 +63,6 @@ def case_seed(root_seed: int, case_id: str, salt: str = "") -> int:
 
 
 def write_json(path: str, payload: object) -> None:
-    """Write a JSON result file, creating parent directories."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w") as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+    """Write a JSON result file (sorted keys, indent 2) by atomic
+    replace, creating parent directories."""
+    atomic_write_json(Path(path), payload, sort_keys=True)

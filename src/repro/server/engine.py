@@ -42,7 +42,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     AsyncIterator,
@@ -179,7 +179,8 @@ def _member_event(case_id: str, outcome: MemberOutcome) -> SolveEvent:
 
 @dataclass(frozen=True)
 class _StreamOptions:
-    """One stream call's resolved configuration."""
+    """A stream's configuration: the engine's defaults, with a call's
+    overrides applied by ``dataclasses.replace``."""
 
     members: Tuple[str, ...]
     seed: Optional[int]
@@ -187,6 +188,16 @@ class _StreamOptions:
     budget_per_member: Optional[float]
     stop_when_optimal: bool
     race: str
+
+
+def _check_options(
+    members: Optional[Sequence[str]], race: Optional[str]
+) -> None:
+    """Reject unknown members or race mode; ``None`` is left unchecked."""
+    if members is not None:
+        validate_members(members)
+    if race is not None and race not in RACE_MODES:
+        raise SolverError(f"race must be one of {RACE_MODES}, got {race!r}")
 
 
 class AsyncSolveEngine:
@@ -207,23 +218,21 @@ class AsyncSolveEngine:
     ) -> None:
         if workers < 1:
             raise SolverError(f"workers must be >= 1, got {workers}")
-        if race not in RACE_MODES:
-            raise SolverError(
-                f"race must be one of {RACE_MODES}, got {race!r}"
-            )
+        _check_options(members, race)
         if executor not in EXECUTOR_KINDS:
             raise SolverError(
                 f"executor must be one of {EXECUTOR_KINDS}, got {executor!r}"
             )
-        validate_members(members)
-        self.members = tuple(members)
-        self.seed = seed
+        self._defaults = _StreamOptions(
+            tuple(members),
+            seed,
+            budget_per_instance,
+            budget_per_member,
+            stop_when_optimal,
+            race,
+        )
         self.workers = workers
         self.cache = cache
-        self.budget_per_instance = budget_per_instance
-        self.budget_per_member = budget_per_member
-        self.stop_when_optimal = stop_when_optimal
-        self.race = race
         self.executor_kind = executor
         self._executor: Optional[concurrent.futures.Executor] = None
         self._pool: Optional[WorkerPool] = None
@@ -235,6 +244,11 @@ class AsyncSolveEngine:
         self._cancelled = 0
         self._worker_crashes = 0
         self._tally = WinTally()
+
+    @property
+    def members(self) -> Tuple[str, ...]:
+        """The default member set of a stream."""
+        return self._defaults.members
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -310,7 +324,7 @@ class AsyncSolveEngine:
         payload: Dict[str, Any] = {
             "members": list(self.members),
             "workers": self.workers,
-            "race": self.race,
+            "race": self._defaults.race,
             "executor": self.executor_kind,
             "active": len(self._active),
             "cache_hits": self._cache_hits,
@@ -332,44 +346,6 @@ class AsyncSolveEngine:
     # ------------------------------------------------------------------
     # Streaming
     # ------------------------------------------------------------------
-    def _resolve_options(
-        self,
-        members: Optional[Sequence[str]],
-        seed: Optional[int],
-        budget_per_instance: Optional[float],
-        budget_per_member: Optional[float],
-        stop_when_optimal: Optional[bool],
-        race: Optional[str],
-    ) -> _StreamOptions:
-        if members is not None:
-            validate_members(members)
-        if race is not None and race not in RACE_MODES:
-            raise SolverError(
-                f"race must be one of {RACE_MODES}, got {race!r}"
-            )
-        return _StreamOptions(
-            members=(
-                self.members if members is None else tuple(members)
-            ),
-            seed=self.seed if seed is None else seed,
-            budget_per_instance=(
-                self.budget_per_instance
-                if budget_per_instance is None
-                else budget_per_instance
-            ),
-            budget_per_member=(
-                self.budget_per_member
-                if budget_per_member is None
-                else budget_per_member
-            ),
-            stop_when_optimal=(
-                self.stop_when_optimal
-                if stop_when_optimal is None
-                else stop_when_optimal
-            ),
-            race=self.race if race is None else race,
-        )
-
     async def stream(
         self,
         cases: Sequence[CaseLike],
@@ -391,13 +367,18 @@ class AsyncSolveEngine:
         are cached and the cache is flushed when the stream drains
         (see :meth:`_flush_cache`).
         """
-        options = self._resolve_options(
-            members,
-            seed,
-            budget_per_instance,
-            budget_per_member,
-            stop_when_optimal,
-            race,
+        _check_options(members, race)
+        overrides = {
+            "members": None if members is None else tuple(members),
+            "seed": seed,
+            "budget_per_instance": budget_per_instance,
+            "budget_per_member": budget_per_member,
+            "stop_when_optimal": stop_when_optimal,
+            "race": race,
+        }
+        options = replace(
+            self._defaults,
+            **{k: v for k, v in overrides.items() if v is not None},
         )
         items = as_batch_items(list(cases), members=options.members)
         for member_set in {item.members for item in items}:
@@ -479,12 +460,12 @@ class AsyncSolveEngine:
         token: RaceToken,
     ) -> None:
         case_id = item.case_id
-        await queue.put(SolveEvent(kind=QUEUED, case_id=case_id))
+        queue.put_nowait(SolveEvent(kind=QUEUED, case_id=case_id))
         try:
             async with self._in_flight_semaphore():
                 if token.is_set():
                     self._cancelled += 1
-                    await queue.put(
+                    queue.put_nowait(
                         SolveEvent(
                             kind=CANCELLED,
                             case_id=case_id,
@@ -510,7 +491,7 @@ class AsyncSolveEngine:
                     cached = self.cache.get_by_key(key)
                     if cached is not None:
                         self._cache_hits += 1
-                        await queue.put(
+                        queue.put_nowait(
                             SolveEvent(
                                 kind=DONE,
                                 case_id=case_id,
@@ -524,13 +505,13 @@ class AsyncSolveEngine:
                             )
                         )
                         return
-                await queue.put(SolveEvent(kind=STARTED, case_id=case_id))
+                queue.put_nowait(SolveEvent(kind=STARTED, case_id=case_id))
                 result, was_retried = await self._solve_in_executor(
                     item, options, queue, token
                 )
                 if token.is_set() and cancellation_affected(result):
                     self._cancelled += 1
-                    await queue.put(
+                    queue.put_nowait(
                         SolveEvent(
                             kind=CANCELLED,
                             case_id=case_id,
@@ -544,7 +525,7 @@ class AsyncSolveEngine:
                 if self.cache is not None:
                     self.cache.put(item.matrix, result, context)
                 self._tally.record_result(result)
-                await queue.put(
+                queue.put_nowait(
                     SolveEvent(
                         kind=DONE,
                         case_id=case_id,
@@ -565,7 +546,7 @@ class AsyncSolveEngine:
         except Exception as exc:  # every case must emit a terminal event,
             # or the stream would wait forever on an internal error.
             self._failed += 1
-            await queue.put(
+            queue.put_nowait(
                 SolveEvent(
                     kind=FAILED,
                     case_id=case_id,

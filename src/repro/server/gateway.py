@@ -23,7 +23,12 @@ Solve responses stream one line per event (``queued`` / ``started`` /
 ``member_finished`` / ``done`` / ``cancelled`` / ``failed``) and close
 with ``{"event": "batch_done", ...}``.  ``member_finished`` events
 stream for *both* executors — a pool worker sends them back over its
-pipe as they land (see :mod:`repro.service.pool`).
+pipe as they land (see :mod:`repro.service.pool`).  The events are
+relayed on the connection's own handler task, with no task per event.
+A client sends nothing after its request line, so a watcher that reads
+the connection to EOF learns when it hangs up; the watcher then
+cancels the handler task, and the engine stream's cleanup cancels the
+solves.
 
 Single-line ops: ``ping``, ``stats`` (engine + server counters),
 ``metrics`` (queue depth, connections, per-tenant usage, cache hit
@@ -487,9 +492,10 @@ class StreamFront:
             self.degraded.served_degraded += 1
 
         # Phase 3 — stream; *always* answer, even on internal errors.
-        # A watcher on the connection's read side turns a vanished
-        # client into prompt cancellation of the underlying solves
-        # instead of budget burned for a reader that is gone.
+        # The events are consumed on this task.  A watcher on the
+        # connection's read side cancels it when the client hangs up,
+        # and the stream's cleanup then cancels the underlying solves
+        # instead of burning budget for a reader that is gone.
         self.metrics.requests_total += 1
         tenant.requests += 1
         tenant.cases += len(items)
@@ -497,42 +503,27 @@ class StreamFront:
         include_timing = bool(request.get("include_timing", True))
         began = time.perf_counter()
         done = 0
+        handler = asyncio.current_task()
+        watching = True
+        hung_up = False
         eof_task: Optional[asyncio.Task] = None
+
+        def hang_up(_: asyncio.Task) -> None:
+            nonlocal hung_up
+            if watching:
+                hung_up = True
+                handler.cancel()
+
         if reader is not None:
             # The protocol sends nothing after the request line, so a
             # completed read-to-EOF means the peer hung up.
             eof_task = asyncio.create_task(
                 reader.read(), name="client-eof-watch"
             )
+            eof_task.add_done_callback(hang_up)
         stream = self.engine.stream(items, **overrides)
         try:
-            iterator = stream.__aiter__()
-            while True:
-                next_event = asyncio.ensure_future(iterator.__anext__())
-                if eof_task is None:
-                    waiting = {next_event}
-                else:
-                    waiting = {next_event, eof_task}
-                await asyncio.wait(
-                    waiting, return_when=asyncio.FIRST_COMPLETED
-                )
-                if (
-                    eof_task is not None
-                    and eof_task.done()
-                    and not next_event.done()
-                ):
-                    next_event.cancel()
-                    # Closing the generator runs stream()'s finally:
-                    # cancel tokens fire and in-flight work aborts at
-                    # its next deadline poll.
-                    await iterator.aclose()
-                    raise ConnectionResetError(
-                        "client disconnected mid-stream"
-                    )
-                try:
-                    event = await next_event
-                except StopAsyncIteration:
-                    break
+            async for event in stream:
                 if event.kind == WORKER_CRASHED:
                     self.metrics.worker_crash_events += 1
                 if event.terminal:
@@ -568,11 +559,23 @@ class StreamFront:
             if degraded_serve:
                 done_line["degraded"] = True
             await send(done_line)
+        except asyncio.CancelledError:
+            # The watcher's cancel is the peer hanging up: clear it and
+            # report a disconnect.  Any other cancel propagates.
+            if not hung_up:
+                raise
+            handler.uncancel()
+            raise ConnectionResetError(
+                "client disconnected mid-stream"
+            ) from None
         except (ConnectionResetError, BrokenPipeError):
             raise  # peer is gone; no point writing an error line
         except Exception as exc:
             # Validation catches the knowable failures; whatever still
             # escapes the engine must not kill the connection silently.
+            # The error line is the last write: a hang-up now has
+            # nothing left to cancel.
+            watching = False
             await send(
                 {
                     "event": "error",
@@ -580,6 +583,7 @@ class StreamFront:
                 }
             )
         finally:
+            watching = False
             if eof_task is not None:
                 eof_task.cancel()
                 try:

@@ -2,25 +2,26 @@
 
 A single cache file rewritten whole on every flush would let two batch
 runners sharing it on a host silently drop each other's entries (last
-writer wins).  This tier spreads entries over ``16**prefix_len`` shard
-files keyed by the leading hex digits of the content hash, and makes
-every shard update a *merge* under the store's writer lock followed by
+writer wins).  This tier spreads entries over 256 shard files keyed by
+the leading :data:`SHARD_PREFIX_LEN` hex digits of the content hash,
+and makes every shard update a *merge* under the store lock followed by
 an atomic tempfile + ``os.replace`` — concurrent writers never clobber
 each other's entries, and a crash mid-write can never leave a torn
 shard behind.
 
-Writers, GC sweeps and compaction take one ``fcntl.flock`` on
-``shards.lock`` in the store root (never a shard itself: ``os.replace``
-swaps inodes, and a lock on a replaced inode protects nothing).  Every
-write already serializes on the index lock, so one lock for all shards
-costs no concurrency.  Readers take no lock: a shard changes only by
-atomic replace, so a reader sees a whole old file or a whole new one,
-and one that finds damage re-reads it under the lock and quarantines it
-there.  Lock order is gc → index → shards.  Stores written by older
-builds may hold ``shard-XX.lock`` sidecars; they are ignored, and since
-they do not exclude this build's writers, an older build must not write
-the same store at the same time.  On platforms without ``fcntl`` the
-tier degrades to lock-free atomic replaces — still torn-proof, but
+The store lock is one ``fcntl.flock`` on ``shards.lock`` in the store
+root (never a shard itself: ``os.replace`` swaps inodes, and a lock on
+a replaced inode protects nothing).  A write takes it once, around its
+shard merge and its index update; index loads and rebuilds, GC sweeps,
+compaction and migration take it too.  Readers take no lock: a shard
+changes only by atomic replace, so a reader sees a whole old file or a
+whole new one, and one that finds damage re-reads it under the lock and
+quarantines it there.  Lock order is gc → store.  Older builds locked
+differently (``shard-XX.lock`` sidecars, or a separate
+``cache-index.lock`` for the index); their lock files are ignored, and
+since they do not exclude this build's writers, an older build must not
+write the same store at the same time.  On platforms without ``fcntl``
+the tier degrades to lock-free atomic replaces — still torn-proof, but
 concurrent merges may then lose races; the repo only targets POSIX.
 
 A :class:`ShardedDiskTier` pointed at an existing single-file JSON
@@ -97,6 +98,10 @@ LOG_RECORD_FIELDS = (
     {"s", "z"},  # a shard re-stamped: [size, mtime_ns], or null if gone
 )
 """The three shapes of an index-log record, one JSON object per line."""
+
+SHARD_PREFIX_LEN = 2
+"""Hex digits of a key that name its shard.  The layout is not recorded
+in the store, so every opener must use the same value."""
 
 CONFIG_NAME = "store-config.json"
 CONFIG_TYPE = "portfolio_cache_store_config"
@@ -321,24 +326,18 @@ class ShardedDiskTier:
 
     The memory tier reads through it per key: ``get`` fetches one entry
     from its shard without a lock (verifying its integrity hash and
-    TTL), and ``store`` merges dirty entries into their shards under
-    the shard lock, appends its changes to the index log, and enforces
-    the store caps.
+    TTL), and ``store`` merges dirty entries into their shards and
+    appends its changes to the index log under the store lock, then
+    enforces the store caps.
     """
 
     def __init__(
         self,
         root: Union[str, Path],
         *,
-        prefix_len: int = 2,
         limits: Optional[StoreLimits] = None,
     ) -> None:
-        if not 1 <= prefix_len <= 4:
-            raise SolverError(
-                f"shard prefix length must be in [1, 4], got {prefix_len}"
-            )
         self.root = Path(root)
-        self.prefix_len = prefix_len
         self.quarantined = 0
         self.integrity_failures = 0
         self.gc_runs = 0
@@ -366,14 +365,14 @@ class ShardedDiskTier:
 
     # -- layout --------------------------------------------------------
     def shard_path(self, key: str) -> Path:
-        prefix = key[: self.prefix_len].lower()
-        if len(prefix) < self.prefix_len or any(
+        prefix = key[:SHARD_PREFIX_LEN].lower()
+        if len(prefix) < SHARD_PREFIX_LEN or any(
             c not in "0123456789abcdef" for c in prefix
         ):
             raise SolverError(f"cache key {key!r} is not a hex digest")
         return self.root / f"shard-{prefix}.json"
 
-    def _shards_lock(self) -> Path:
+    def _store_lock(self) -> Path:
         return self.root / "shards.lock"
 
     def _global_lock(self) -> Path:
@@ -384,9 +383,6 @@ class ShardedDiskTier:
 
     def index_log_path(self) -> Path:
         return self.root / INDEX_LOG_NAME
-
-    def _index_lock(self) -> Path:
-        return self.root / "cache-index.lock"
 
     def config_path(self) -> Path:
         return self.root / CONFIG_NAME
@@ -453,7 +449,8 @@ class ShardedDiskTier:
             os.replace(path, sidecar)
         entries = payload.get("entries", {})
         self.root.mkdir(parents=True, exist_ok=True)
-        self._merge(entries)
+        with locked_file(self._store_lock()):
+            self._merge(entries)
         sidecar.unlink()
 
     # -- persisted limits ----------------------------------------------
@@ -518,7 +515,7 @@ class ShardedDiskTier:
         can't parse: that still raises rather than destroying it.
         Version-1 shards simply have no ``meta`` map.
 
-        Quarantine needs the shard lock.  A reader without it passes
+        Quarantine needs the store lock.  A reader without it passes
         ``quarantine=False`` and gets ``None`` for damage, then re-reads
         under the lock.
         """
@@ -593,7 +590,8 @@ class ShardedDiskTier:
     def _merge(
         self, entries: Mapping[str, Dict[str, Any]]
     ) -> Dict[str, Dict[str, Any]]:
-        """Merge fresh entries into their shards; returns their meta.
+        """Under the store lock: merge fresh entries into their shards;
+        returns their meta.
 
         Existing entries missing metadata (written by a version-1
         build) are stamped while the shard is open anyway — rewrites
@@ -604,19 +602,18 @@ class ShardedDiskTier:
             by_shard.setdefault(self.shard_path(key), {})[key] = payload
         written: Dict[str, Dict[str, Any]] = {}
         now = wall_now()
-        with locked_file(self._shards_lock()):
-            for shard, fresh in sorted(by_shard.items()):
-                data = self._read_shard(shard)
-                merged = data["entries"]
-                meta = data["meta"]
-                for key in merged:
-                    if key not in meta and key not in fresh:
-                        meta[key] = make_entry_meta(merged[key], now=now)
-                for key, payload in fresh.items():
-                    merged[key] = payload
-                    meta[key] = make_entry_meta(payload, now=now)
-                    written[key] = meta[key]
-                self._write_shard(shard, merged, meta)
+        for shard, fresh in sorted(by_shard.items()):
+            data = self._read_shard(shard)
+            merged = data["entries"]
+            meta = data["meta"]
+            for key in merged:
+                if key not in meta and key not in fresh:
+                    meta[key] = make_entry_meta(merged[key], now=now)
+            for key, payload in fresh.items():
+                merged[key] = payload
+                meta[key] = make_entry_meta(payload, now=now)
+                written[key] = meta[key]
+            self._write_shard(shard, merged, meta)
         return written
 
     # -- read / write --------------------------------------------------
@@ -627,7 +624,7 @@ class ShardedDiskTier:
         # can replace the shard meanwhile, and quarantined there.
         data = self._read_shard(shard, quarantine=False)
         if data is None or not _intact(data, key):
-            with locked_file(self._shards_lock()):
+            with locked_file(self._store_lock()):
                 data = self._read_shard(shard)
                 if not _intact(data, key):
                     self._quarantine_entry(
@@ -654,7 +651,7 @@ class ShardedDiskTier:
     ) -> None:
         """Move one damaged entry aside; the rest of the shard lives on.
 
-        The caller holds the shard lock.  The bad payload (with its
+        The caller holds the store lock.  The bad payload (with its
         claimed metadata) lands in a ``entry-*.corrupt-<ts>`` file for
         postmortems — same contract as :func:`quarantine_file`, scoped
         to one entry instead of torching its shard-mates.
@@ -688,18 +685,17 @@ class ShardedDiskTier:
         entries: Mapping[str, Dict[str, Any]],
         dirty: Optional[Set[str]] = None,
     ) -> None:
-        """Merge ``entries`` (restricted to ``dirty`` keys) into shards,
-        log the new metadata + batched access stamps to the index, and
-        enforce the store caps (which may trigger a GC pass)."""
+        """Merge ``entries`` (restricted to ``dirty`` keys) into shards
+        and log the new metadata + batched access stamps to the index,
+        under one hold of the store lock; then enforce the store caps
+        (which may trigger a GC pass, outside the lock)."""
         if dirty is not None:
             entries = {
                 key: entries[key] for key in dirty if key in entries
             }
-        written: Dict[str, Dict[str, Any]] = {}
-        if entries:
-            written = self._merge(entries)
-        if written or self._touches:
-            self._update_index(written)
+        if entries or self._touches:
+            with locked_file(self._store_lock()):
+                self._update_index(self._merge(entries))
         if self.limits.enabled() and self.limits.over_caps(
             self._approx_bytes, len(self._sizes)
         ):
@@ -712,18 +708,19 @@ class ShardedDiskTier:
     def sync_index(self) -> None:
         """Flush batched access stamps into the index (used at close)."""
         if self._touches:
-            self._update_index({})
+            with locked_file(self._store_lock()):
+                self._update_index({})
 
     # -- index ---------------------------------------------------------
     def _update_index(self, written: Dict[str, Dict[str, Any]]) -> None:
-        """Log fresh meta, batched touches and the written shards' new
-        stamps to the index.
+        """Under the store lock: log fresh meta, batched touches and the
+        written shards' new stamps to the index.
 
-        The write never parses or rewrites the snapshot: under the index
-        lock it stats the snapshot, takes in the records other writers
-        appended since its last write, and appends its own in one
-        write.  It folds only once the log holds more records than the
-        snapshot has entries, which keeps a write O(1) amortised.
+        The write never parses or rewrites the snapshot: it stats the
+        snapshot, takes in the records other writers appended since its
+        last write, and appends its own in one write.  It folds only
+        once the log holds more records than the snapshot has entries,
+        which keeps a write O(1) amortised.
 
         Only the shards holding ``written`` keys are re-stamped.  A
         shard rewritten without an index update (a writer that died
@@ -738,20 +735,19 @@ class ShardedDiskTier:
             for key, meta in written.items()
         ]
         records.extend(dict(k=key, a=stamp) for key, stamp in touches.items())
-        with locked_file(self._index_lock()):
-            for shard in sorted({self.shard_path(key) for key in written}):
-                stamp = self._shard_stamp(shard)
-                records.append(dict(s=shard.name, z=stamp and list(stamp)))
-            if not self._follow_index():
+        for shard in sorted({self.shard_path(key) for key in written}):
+            stamp = self._shard_stamp(shard)
+            records.append(dict(s=shard.name, z=stamp and list(stamp)))
+        if not self._follow_index():
+            self._rebuild(records)
+            return
+        self._append_log(records)
+        if self._log_records > self._snapshot_entries:
+            if self._fold() is None:
                 self._rebuild(records)
-                return
-            self._append_log(records)
-            if self._log_records > self._snapshot_entries:
-                if self._fold() is None:
-                    self._rebuild(records)
 
     def _follow_index(self) -> bool:
-        """Under the index lock: bring the counts up to the index on
+        """Under the store lock: bring the counts up to the index on
         disk before appending to it.
 
         One ``stat`` each of the snapshot and the log tells whether
@@ -776,7 +772,7 @@ class ShardedDiskTier:
         return self._read_log(log) is not None
 
     def _fold(self) -> Optional[Dict[str, Any]]:
-        """Under the index lock: the snapshot with the log applied.
+        """Under the store lock: the snapshot with the log applied.
 
         A non-empty log is folded: the snapshot is rewritten with its
         records and the log emptied, in that order — a crash between
@@ -800,7 +796,7 @@ class ShardedDiskTier:
         return payload
 
     def _reload(self) -> Optional[Dict[str, Any]]:
-        """Under the index lock: the snapshot at the path, with the
+        """Under the store lock: the snapshot at the path, with the
         counts started over from it (``None`` if missing or damaged)."""
         self._close_log()
         payload = self._read_index()
@@ -811,7 +807,7 @@ class ShardedDiskTier:
     def _rebuild(
         self, records: Iterable[Dict[str, Any]] = ()
     ) -> Dict[str, Any]:
-        """Under the index lock: the index rebuilt by a scan of the
+        """Under the store lock: the index rebuilt by a scan of the
         shards, plus ``records``.
 
         The log is emptied before the snapshot is written: a crash
@@ -956,7 +952,7 @@ class ShardedDiskTier:
         return records
 
     def _append_log(self, records: List[Dict[str, Any]]) -> None:
-        """Append ``records`` in one write.  The caller holds the index
+        """Append ``records`` in one write.  The caller holds the store
         lock and has read the log to its end (:meth:`_follow_index`)."""
         data = "".join(
             json.dumps(record, separators=(",", ":")) + "\n"
@@ -1008,15 +1004,12 @@ class ShardedDiskTier:
         return stamps
 
     def _scan_for_index(self) -> Dict[str, Any]:
-        """Authoritative index payload built by reading every shard;
-        every shard is stamped once the reads are done."""
+        """Under the store lock: the authoritative index payload, built
+        by reading every shard; every shard is stamped once the reads
+        are done."""
         entries: Dict[str, Dict[str, Any]] = {}
-        with locked_file(self._shards_lock()):
-            shards = [
-                self._read_shard(shard)
-                for shard in sorted(self.root.glob("shard-*.json"))
-            ]
-        for data in shards:
+        for shard in sorted(self.root.glob("shard-*.json")):
+            data = self._read_shard(shard)
             for key, payload in data["entries"].items():
                 meta = data["meta"].get(key)
                 if meta is None:
@@ -1044,7 +1037,7 @@ class ShardedDiskTier:
 
     def rebuild_index(self) -> Dict[str, Any]:
         """Rebuild the index from the shards (the recovery fallback)."""
-        with locked_file(self._index_lock()):
+        with locked_file(self._store_lock()):
             return self._rebuild()
 
     def load_index(self, *, verify: bool = False) -> Dict[str, Any]:
@@ -1056,17 +1049,17 @@ class ShardedDiskTier:
         its index update, or a foreign process wrote shards without
         maintaining the index — either way the shards win.
         """
-        with locked_file(self._index_lock()):
+        with locked_file(self._store_lock()):
             payload = self._fold()
-        if payload is None:
-            return self.rebuild_index()
-        if verify:
-            recorded = {
-                name: tuple(stamp)
-                for name, stamp in payload.get("shards", {}).items()
-            }
-            if recorded != self._shard_stamps():
-                return self.rebuild_index()
+            if verify and payload is not None:
+                recorded = {
+                    name: tuple(stamp)
+                    for name, stamp in payload.get("shards", {}).items()
+                }
+                if recorded != self._shard_stamps():
+                    payload = None
+            if payload is None:
+                payload = self._rebuild()
         return payload
 
     def bytes_used(self) -> int:
@@ -1080,7 +1073,7 @@ class ShardedDiskTier:
     def keys(self) -> Set[str]:
         """Every key currently on disk (reads all shards; test/debug)."""
         found: Set[str] = set()
-        with locked_file(self._shards_lock()):
+        with locked_file(self._store_lock()):
             for shard in sorted(self.root.glob("shard-*.json")):
                 found.update(self._read_shard(shard)["entries"])
         return found
@@ -1099,8 +1092,7 @@ class ShardedDiskTier:
 
     def __repr__(self) -> str:
         return (
-            f"ShardedDiskTier({str(self.root)!r}, "
-            f"prefix_len={self.prefix_len}, limits={self.limits})"
+            f"ShardedDiskTier({str(self.root)!r}, limits={self.limits})"
         )
 
 

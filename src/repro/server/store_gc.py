@@ -220,7 +220,7 @@ def _sweep(tier: ShardedDiskTier, doomed: Dict[str, float]) -> List[str]:
     removed: List[str] = []
     crash_armed = True
     for shard, keys in sorted(by_shard.items()):
-        with locked_file(tier._shards_lock()):
+        with locked_file(tier._store_lock()):
             data = tier._read_shard(shard)
             entries = data["entries"]
             meta = data["meta"]
@@ -262,7 +262,7 @@ def _compact(tier: ShardedDiskTier, report: GcReport) -> None:
         except OSError:
             continue
     for shard in sorted(tier.root.glob("shard-*.json")):
-        with locked_file(tier._shards_lock()):
+        with locked_file(tier._store_lock()):
             if not tier._read_shard(shard)["entries"]:
                 try:
                     shard.unlink()

@@ -143,7 +143,6 @@ class ResultCache:
         root: Union[str, Path],
         *,
         capacity: int = 1024,
-        prefix_len: int = 2,
         max_bytes: Optional[int] = None,
         max_entries: Optional[int] = None,
         ttl_seconds: Optional[float] = None,
@@ -172,9 +171,7 @@ class ResultCache:
             )
         return cls(
             capacity,
-            storage=ShardedDiskTier(
-                root, prefix_len=prefix_len, limits=limits
-            ),
+            storage=ShardedDiskTier(root, limits=limits),
         )
 
     # ------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.server import client
 from repro.server.engine import AsyncSolveEngine
 from repro.server.gateway import (
     SolveGateway,
+    StreamFront,
     parse_priority,
     validate_overrides,
 )
@@ -347,6 +348,104 @@ class TestFailurePaths:
             time.sleep(0.05)
         else:
             pytest.fail("abandoned connection never released its gauge")
+
+
+class TestSolveOnHandlerTask:
+    async def test_task_count_does_not_grow_with_the_event_count(self):
+        # One case streams one member_finished event per member.  The
+        # events are consumed on the handler's own task, so a request
+        # creates the same tasks (the EOF watcher and the case) however
+        # many events it streams.
+        loop = asyncio.get_running_loop()
+        created = []
+
+        def counting_factory(loop, coro, **kwargs):
+            task = asyncio.Task(coro, loop=loop, **kwargs)
+            created.append(task)
+            return task
+
+        async def tasks_for(members):
+            front = StreamFront(AsyncSolveEngine(members=members, seed=7))
+            events = []
+
+            async def send(payload):
+                events.append(payload)
+
+            request = {
+                "op": "solve",
+                "cases": [{"case_id": "a", "rows": ["110", "011"]}],
+            }
+            before = len(created)
+            try:
+                # A reader that never reaches EOF: the client stays.
+                await front._dispatch(request, send, asyncio.StreamReader())
+            finally:
+                front.engine.close()
+            assert events[-1]["event"] == "batch_done"
+            finished = [e for e in events if e["event"] == "member_finished"]
+            assert len(finished) == len(members)
+            return len(created) - before
+
+        loop.set_task_factory(counting_factory)
+        try:
+            few = await tasks_for(("trivial",))
+            many = await tasks_for(("trivial", "packing:2", "packing:4"))
+        finally:
+            loop.set_task_factory(None)
+        assert few == many
+
+    @staticmethod
+    def _slow_request():
+        return {
+            "op": "solve",
+            "cases": [
+                {
+                    "case_id": "slow",
+                    "row_masks": list(SLOW_MATRIX.row_masks),
+                    "num_cols": SLOW_MATRIX.num_cols,
+                }
+            ],
+            "budget_per_instance": 20.0,
+        }
+
+    async def test_hang_up_cancels_the_solve_and_clears_the_cancel(self):
+        front = StreamFront(AsyncSolveEngine(members=("branch_bound",)))
+        reader = asyncio.StreamReader()
+        asyncio.get_running_loop().call_later(0.2, reader.feed_eof)
+
+        async def send(payload):
+            pass
+
+        began = time.monotonic()
+        try:
+            with pytest.raises(ConnectionResetError):
+                await front._dispatch(self._slow_request(), send, reader)
+            assert front.engine.stats()["active"] == 0
+        finally:
+            front.engine.close()
+        assert time.monotonic() - began < 10.0  # budget was 20 s
+        assert asyncio.current_task().cancelling() == 0
+
+    async def test_another_cancel_propagates_unchanged(self):
+        front = StreamFront(AsyncSolveEngine(members=("branch_bound",)))
+
+        async def send(payload):
+            pass
+
+        handler = asyncio.create_task(
+            front._dispatch(
+                self._slow_request(), send, asyncio.StreamReader()
+            )
+        )
+        await asyncio.sleep(0.2)
+        handler.cancel()
+        try:
+            with pytest.raises(asyncio.CancelledError):
+                await handler
+            assert front.engine.stats()["active"] == 0
+        finally:
+            front.engine.close()
+        assert handler.cancelled()
 
 
 class TestProcessExecutorEndToEnd:

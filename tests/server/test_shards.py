@@ -92,10 +92,6 @@ class TestTierBasics:
         with pytest.raises(SolverError):
             tier.store({"not-a-digest": _payload("x")})
 
-    def test_rejects_bad_prefix_len(self, tmp_path):
-        with pytest.raises(SolverError):
-            ShardedDiskTier(tmp_path / "cache", prefix_len=0)
-
     def test_quarantines_foreign_shard_file(self, tmp_path):
         # A non-shard payload inside the shard directory is damage:
         # it is moved aside and the shard reads cold (PR 5 changed
