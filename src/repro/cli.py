@@ -106,27 +106,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_solve_batch(args: argparse.Namespace) -> int:
-    from repro.core.exceptions import ReproError
     from repro.experiments.common import write_json
     from repro.service.batch import solve_batch
     from repro.utils.tables import format_table
 
     members = tuple(spec for spec in args.members.split(",") if spec)
-    try:
-        items = [(path, _read_pattern(path)) for path in args.patterns]
-        cache = _open_cache(args)
-        records = solve_batch(
-            items,
-            members=members,
-            seed=args.seed,
-            workers=args.workers,
-            cache=cache,
-            budget_per_instance=args.budget,
-            race=args.race,
-        )
-    except (ReproError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    items = [(path, _read_pattern(path)) for path in args.patterns]
+    cache = _open_cache(args)
+    records = solve_batch(
+        items,
+        members=members,
+        seed=args.seed,
+        workers=args.workers,
+        cache=cache,
+        budget_per_instance=args.budget,
+        race=args.race,
+    )
     rows = [
         [
             record.case_id,
@@ -155,11 +150,7 @@ def cmd_solve_batch(args: argparse.Namespace) -> int:
             f"-> {args.cache_dir}"
         )
     if args.json:
-        try:
-            write_json(args.json, [record.provenance() for record in records])
-        except OSError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        write_json(args.json, [record.provenance() for record in records])
         print(f"wrote {args.json}")
     return 0
 
@@ -189,14 +180,12 @@ def _traffic_policy(args: argparse.Namespace):
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """``serve`` (unix socket) and ``gateway`` (TCP): one front."""
-    from repro.core.exceptions import ReproError
     from repro.server.gateway import default_socket_path, run_gateway
     from repro.server.tenancy import AdmissionController
 
     members = tuple(spec for spec in args.members.split(",") if spec)
-    cache = None
+    cache = _open_cache(args)
     try:
-        cache = _open_cache(args)
         tenants, admission = _traffic_policy(args)
         if args.command == "gateway":
             address = {"host": args.host, "port": args.port}
@@ -236,16 +225,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             race=args.race,
             executor=args.executor,
         )
-    except (ReproError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     finally:
         if cache is not None:
             cache.flush()
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    from repro.core.exceptions import ReproError
     from repro.experiments.common import write_json
     from repro.server import client
     from repro.server.gateway import default_socket_path
@@ -273,54 +258,43 @@ def cmd_submit(args: argparse.Namespace) -> int:
     if args.priority is not None:
         options["priority"] = args.priority
     records = []
-    try:
-        cases = [(path, _read_pattern(path)) for path in args.patterns]
-        for event in client.submit(
-            address, cases, timeout=args.timeout, retry=retry, **options
-        ):
-            kind = event.get("event")
-            case_id = event.get("case_id", "")
-            if kind == "member_finished":
-                depth = event.get("depth")
-                print(
-                    f"  {case_id}: {event.get('member')} -> "
-                    f"{'depth ' + str(depth) if depth is not None else 'no result'}"
-                )
-            elif kind == "done":
-                records.append(event)
-                source = "cache" if event.get("from_cache") else "solved"
-                if event.get("degraded"):
-                    source += ", degraded"
-                if event.get("retried"):
-                    source += ", retried"
-                print(f"{case_id}: depth {event.get('depth')} ({source})")
-            elif kind == "worker_crashed":
-                print(
-                    f"  {case_id}: worker crashed, retrying "
-                    f"({event.get('error')})"
-                )
-            elif kind == "client_retry":
-                print(
-                    f"  reconnecting (attempt {event.get('attempt')}, "
-                    f"{event.get('remaining')} case(s) left): "
-                    f"{event.get('reason')}",
-                    file=sys.stderr,
-                )
-            elif kind in ("cancelled", "failed"):
-                records.append(event)
-                print(f"{case_id}: {kind} ({event.get('error')})")
-            elif kind in ("queued", "started"):
-                print(f"  {case_id}: {kind}")
-    except (ReproError, OSError) as error:
-        retry_after = getattr(error, "retry_after", None)
-        if retry_after is not None:
+    cases = [(path, _read_pattern(path)) for path in args.patterns]
+    for event in client.submit(
+        address, cases, timeout=args.timeout, retry=retry, **options
+    ):
+        kind = event.get("event")
+        case_id = event.get("case_id", "")
+        if kind == "member_finished":
+            depth = event.get("depth")
             print(
-                f"error: {error} (retry after {retry_after:g}s)",
+                f"  {case_id}: {event.get('member')} -> "
+                f"{'depth ' + str(depth) if depth is not None else 'no result'}"
+            )
+        elif kind == "done":
+            records.append(event)
+            source = "cache" if event.get("from_cache") else "solved"
+            if event.get("degraded"):
+                source += ", degraded"
+            if event.get("retried"):
+                source += ", retried"
+            print(f"{case_id}: depth {event.get('depth')} ({source})")
+        elif kind == "worker_crashed":
+            print(
+                f"  {case_id}: worker crashed, retrying "
+                f"({event.get('error')})"
+            )
+        elif kind == "client_retry":
+            print(
+                f"  reconnecting (attempt {event.get('attempt')}, "
+                f"{event.get('remaining')} case(s) left): "
+                f"{event.get('reason')}",
                 file=sys.stderr,
             )
-        else:
-            print(f"error: {error}", file=sys.stderr)
-        return 2
+        elif kind in ("cancelled", "failed"):
+            records.append(event)
+            print(f"{case_id}: {kind} ({event.get('error')})")
+        elif kind in ("queued", "started"):
+            print(f"  {case_id}: {kind}")
     done = [e for e in records if e.get("event") == "done"]
     rows = [
         [
@@ -341,13 +315,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
             )
         )
     if args.json:
-        try:
-            write_json(
-                args.json, [event.get("provenance") for event in done]
-            )
-        except OSError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        write_json(args.json, [event.get("provenance") for event in done])
         print(f"wrote {args.json}")
     return 0 if len(done) == len(records) else 1
 
@@ -356,18 +324,13 @@ def cmd_health(args: argparse.Namespace) -> int:
     """Probe a running front's health op (exit 0 only when ready)."""
     import json as json_module
 
-    from repro.core.exceptions import ReproError
     from repro.server import client
     from repro.server.gateway import default_socket_path
 
     address = args.connect or args.socket or default_socket_path()
-    try:
-        payload = client.request_once(
-            address, {"op": "health"}, timeout=args.timeout
-        )
-    except (ReproError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    payload = client.request_once(
+        address, {"op": "health"}, timeout=args.timeout
+    )
     print(json_module.dumps(payload, indent=2, sort_keys=True))
     return 0 if payload.get("status") == "ready" else 1
 
@@ -812,7 +775,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ReproError, OSError) as error:
         # Missing pattern files, bad specs, unreachable servers: one
         # clean diagnostic and exit 2, never a traceback.
-        print(f"error: {error}", file=sys.stderr)
+        message = str(error)
+        retry_after = getattr(error, "retry_after", None)
+        if retry_after is not None:
+            message += f" (retry after {retry_after:g}s)"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -343,7 +343,8 @@ def submit(
     tenancy fields (``tenant``, ``key``, ``priority``).  Error events
     raise :class:`DaemonError` (with ``retry_after`` populated on
     admission rejections); the terminating ``batch_done`` line is
-    yielded last so callers can read the completion counts.
+    yielded last so callers can read the completion counts, and a
+    stream that ends without it raises :class:`StreamInterrupted`.
 
     With a :class:`RetryPolicy`, transient failures — connection
     refused, admission rejections carrying ``retry_after``, and
@@ -358,7 +359,11 @@ def submit(
     number of ``retries`` taken.
     """
     if retry is None:
-        yield from _submit_once(address, cases, timeout, options)
+        last: Dict[str, Any] = {}
+        for last in _submit_once(address, cases, timeout, options):
+            yield last
+        if last.get("event") != "batch_done":
+            raise StreamInterrupted("stream ended before its batch_done line")
         return
 
     ordered = [(str(case_id), matrix) for case_id, matrix in cases]

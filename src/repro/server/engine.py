@@ -31,6 +31,11 @@ dead worker is respawned and only its case re-dispatched
 still only takes effect before an instance starts (cancel flags don't
 cross the process boundary).
 
+Both executors solve with :func:`repro.service.pool.solve_case`, on
+the payload and cache-key context of one
+:class:`repro.service.batch.SolveOptions`: the engine's defaults, with
+a stream's overrides applied.
+
 A long-lived engine amortizes executor and cache warmup across many
 ``stream``/``solve`` calls — that is what
 :class:`repro.server.gateway.SolveGateway` serves, over TCP or a unix
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -58,25 +64,21 @@ from repro.service import faults
 from repro.service.batch import (
     STATUS_OK,
     STATUS_RETRIED,
+    BatchItem,
     BatchRecord,
     CaseLike,
+    SolveOptions,
     as_batch_items,
-    instance_seed,
-    solve_context,
 )
-from repro.service.budget import PortfolioBudget
 from repro.service.cache import ResultCache, matrix_key
 from repro.service.portfolio import (
     DEFAULT_PORTFOLIO,
-    RACE_MODES,
     MemberOutcome,
     PortfolioResult,
     is_exact_member,
     result_from_dict,
-    solve_portfolio,
-    validate_members,
 )
-from repro.service.pool import WORKER_CRASHED, WorkerPool
+from repro.service.pool import WORKER_CRASHED, WorkerPool, solve_case
 from repro.service.racing import RaceToken
 from repro.service.stats import WinTally
 
@@ -177,29 +179,6 @@ def _member_event(case_id: str, outcome: MemberOutcome) -> SolveEvent:
     )
 
 
-@dataclass(frozen=True)
-class _StreamOptions:
-    """A stream's configuration: the engine's defaults, with a call's
-    overrides applied by ``dataclasses.replace``."""
-
-    members: Tuple[str, ...]
-    seed: Optional[int]
-    budget_per_instance: Optional[float]
-    budget_per_member: Optional[float]
-    stop_when_optimal: bool
-    race: str
-
-
-def _check_options(
-    members: Optional[Sequence[str]], race: Optional[str]
-) -> None:
-    """Reject unknown members or race mode; ``None`` is left unchecked."""
-    if members is not None:
-        validate_members(members)
-    if race is not None and race not in RACE_MODES:
-        raise SolverError(f"race must be one of {RACE_MODES}, got {race!r}")
-
-
 class AsyncSolveEngine:
     """Streaming portfolio solves over a shared executor and cache."""
 
@@ -218,13 +197,12 @@ class AsyncSolveEngine:
     ) -> None:
         if workers < 1:
             raise SolverError(f"workers must be >= 1, got {workers}")
-        _check_options(members, race)
         if executor not in EXECUTOR_KINDS:
             raise SolverError(
                 f"executor must be one of {EXECUTOR_KINDS}, got {executor!r}"
             )
-        self._defaults = _StreamOptions(
-            tuple(members),
+        self._defaults = SolveOptions(
+            members,
             seed,
             budget_per_instance,
             budget_per_member,
@@ -367,9 +345,8 @@ class AsyncSolveEngine:
         are cached and the cache is flushed when the stream drains
         (see :meth:`_flush_cache`).
         """
-        _check_options(members, race)
         overrides = {
-            "members": None if members is None else tuple(members),
+            "members": members,
             "seed": seed,
             "budget_per_instance": budget_per_instance,
             "budget_per_member": budget_per_member,
@@ -381,9 +358,6 @@ class AsyncSolveEngine:
             **{k: v for k, v in overrides.items() if v is not None},
         )
         items = as_batch_items(list(cases), members=options.members)
-        for member_set in {item.members for item in items}:
-            if member_set is not None:
-                validate_members(member_set)
         # Chaos seam: turn an index-addressed kill target into a case id
         # while we still see the whole batch (no-op without a FaultPlan).
         faults.resolve_kill_case([item.case_id for item in items])
@@ -454,8 +428,8 @@ class AsyncSolveEngine:
 
     async def _solve_one(
         self,
-        item: Any,
-        options: _StreamOptions,
+        item: BatchItem,
+        options: SolveOptions,
         queue: "asyncio.Queue[SolveEvent]",
         token: RaceToken,
     ) -> None:
@@ -473,19 +447,7 @@ class AsyncSolveEngine:
                         )
                     )
                     return
-                item_members = (
-                    item.members
-                    if item.members is not None
-                    else options.members
-                )
-                context = solve_context(
-                    tuple(item_members),
-                    instance_seed(options.seed, case_id),
-                    options.budget_per_instance,
-                    options.budget_per_member,
-                    options.stop_when_optimal,
-                    options.race,
-                )
+                context = options.context(item)
                 key = matrix_key(item.matrix, context)
                 if self.cache is not None:
                     cached = self.cache.get_by_key(key)
@@ -556,8 +518,8 @@ class AsyncSolveEngine:
 
     async def _solve_in_executor(
         self,
-        item: Any,
-        options: _StreamOptions,
+        item: BatchItem,
+        options: SolveOptions,
         queue: "asyncio.Queue[SolveEvent]",
         token: RaceToken,
     ) -> Tuple[PortfolioResult, bool]:
@@ -570,10 +532,7 @@ class AsyncSolveEngine:
         """
         loop = asyncio.get_running_loop()
         case_id = item.case_id
-        members = (
-            item.members if item.members is not None else options.members
-        )
-        seed = instance_seed(options.seed, case_id)
+        payload = options.payload(item)
         executor = self._ensure_executor()
 
         def on_member(outcome: MemberOutcome) -> None:
@@ -582,62 +541,35 @@ class AsyncSolveEngine:
                 queue.put_nowait, _member_event(case_id, outcome)
             )
 
-        if self._pool is not None:
-            pool = self._pool
-            # The batch worker payload; a cancel applies only up to the
-            # start, since cancel flags do not cross into the worker.
-            payload = (
-                case_id,
-                item.matrix.row_masks,
-                item.matrix.num_cols,
-                tuple(members),
-                seed,
-                options.budget_per_instance,
-                options.budget_per_member,
-                options.stop_when_optimal,
-                options.race,
+        if self._pool is None:
+            solve = functools.partial(
+                solve_case, payload, cancel=token, on_member=on_member
             )
+            return await loop.run_in_executor(executor, solve), False
 
-            def announce_crash(dispatch: int) -> None:
-                self._worker_crashes += 1
-                queue.put_nowait(
-                    SolveEvent(
-                        kind=WORKER_CRASHED,
-                        case_id=case_id,
-                        error=f"pool worker died (dispatch {dispatch})",
-                    )
+        # A cancel applies only up to the start on the pool, since
+        # cancel flags do not cross into the worker.
+        def announce_crash(dispatch: int) -> None:
+            self._worker_crashes += 1
+            queue.put_nowait(
+                SolveEvent(
+                    kind=WORKER_CRASHED,
+                    case_id=case_id,
+                    error=f"pool worker died (dispatch {dispatch})",
                 )
-
-            def on_crash(event: Dict[str, Any]) -> None:
-                # Called from the solver thread, like on_member.
-                loop.call_soon_threadsafe(announce_crash, event["dispatches"])
-
-            def solve_on_pool() -> Tuple[Dict[str, Any], bool]:
-                return pool.solve(
-                    payload, on_member=on_member, on_crash=on_crash
-                )
-
-            result_dict, was_retried = await loop.run_in_executor(
-                executor, solve_on_pool
-            )
-            return result_from_dict(result_dict), was_retried
-
-        def solve() -> PortfolioResult:
-            return solve_portfolio(
-                item.matrix,
-                members=members,
-                seed=seed,
-                budget=PortfolioBudget(
-                    options.budget_per_instance,
-                    per_member_seconds=options.budget_per_member,
-                ),
-                stop_when_optimal=options.stop_when_optimal,
-                race=options.race,
-                cancel=token,
-                on_member=on_member,
             )
 
-        return await loop.run_in_executor(executor, solve), False
+        def on_crash(event: Dict[str, Any]) -> None:
+            # Called from the solver thread, like on_member.
+            loop.call_soon_threadsafe(announce_crash, event["dispatches"])
+
+        solve_on_pool = functools.partial(
+            self._pool.solve, payload, on_member=on_member, on_crash=on_crash
+        )
+        result_dict, was_retried = await loop.run_in_executor(
+            executor, solve_on_pool
+        )
+        return result_from_dict(result_dict), was_retried
 
     # ------------------------------------------------------------------
     # Convenience

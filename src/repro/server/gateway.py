@@ -49,6 +49,7 @@ seconds and resubmit.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import os
 import time
@@ -72,27 +73,21 @@ from repro.server.tenancy import (
     TenantState,
 )
 from repro.service import faults
-from repro.service.batch import BatchItem
-from repro.service.portfolio import (
-    RACE_MODES,
-    PortfolioResult,
-    is_exact_member,
-    validate_members,
-)
+from repro.service.batch import BatchItem, SolveOptions
+from repro.service.portfolio import PortfolioResult, is_exact_member
 
 PROTOCOL_VERSION = 2
 """Bumped from 1 when tenancy, ``metrics``, and ``retry_after``
 rejections landed; the solve-event stream itself is unchanged, so v1
 clients interoperate."""
 
-SOLVE_OVERRIDES = (
-    "members",
-    "seed",
-    "budget_per_instance",
-    "budget_per_member",
-    "stop_when_optimal",
-    "race",
-)
+SOLVE_OVERRIDES = tuple(spec.name for spec in dataclasses.fields(SolveOptions))
+"""The request fields that override the engine's solve options."""
+
+REQUEST_LINE_LIMIT = 16 * 1024 * 1024
+"""Longest request line a front reads, in bytes (asyncio's default is
+64 KiB, less than a ``repro submit`` batch of a few dozen 100x100
+cases).  A longer line is answered with an ``error`` event."""
 
 Sender = Callable[[Dict[str, Any]], Awaitable[None]]
 
@@ -130,6 +125,25 @@ def default_socket_path() -> str:
     return candidate
 
 
+async def read_request_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The request line, or ``None`` when it is over the reader's limit.
+
+    An overlong line is read to its end and dropped, so the client's
+    send completes and it reads the answer instead of a reset.
+    """
+    overlong = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # EOF before a newline
+        except asyncio.LimitOverrunError as exc:
+            overlong = True
+            await reader.readexactly(exc.consumed)
+            continue
+        return None if overlong else line
+
+
 def parse_case(payload: Dict[str, Any], index: int) -> BatchItem:
     """One wire case -> :class:`BatchItem`.
 
@@ -165,49 +179,22 @@ def validate_overrides(request: Dict[str, Any]) -> Dict[str, Any]:
 
     A string budget or an unknown race mode used to surface as a
     ``TypeError`` deep inside the engine after events had already
-    streamed — the connection just died.  Checking the wire types here
-    turns every malformed override into a clean ``error`` event.
+    streamed — the connection just died.  Checking the wire values by
+    building a :class:`SolveOptions` turns every malformed override into
+    a clean ``error`` event.  Budgets come back as floats, members as a
+    tuple.
     """
-    overrides: Dict[str, Any] = {}
-    for key in SOLVE_OVERRIDES:
-        value = request.get(key)
-        if value is None:
-            continue
-        if key == "members":
-            if not isinstance(value, (list, tuple)) or not value:
-                raise SolverError(
-                    f"'members' must be a non-empty list, got {value!r}"
-                )
-            members = tuple(str(m) for m in value)
-            validate_members(members)
-            overrides[key] = members
-        elif key == "seed":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SolverError(f"'seed' must be an integer, got {value!r}")
-            overrides[key] = value
-        elif key in ("budget_per_instance", "budget_per_member"):
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
-                raise SolverError(
-                    f"'{key}' must be a number of seconds, got {value!r}"
-                )
-            if value < 0:
-                raise SolverError(f"'{key}' must be >= 0, got {value}")
-            overrides[key] = float(value)
-        elif key == "stop_when_optimal":
-            if not isinstance(value, bool):
-                raise SolverError(
-                    f"'stop_when_optimal' must be a boolean, got {value!r}"
-                )
-            overrides[key] = value
-        elif key == "race":
-            if value not in RACE_MODES:
-                raise SolverError(
-                    f"'race' must be one of {RACE_MODES}, got {value!r}"
-                )
-            overrides[key] = value
-    return overrides
+    overrides = {
+        key: request[key]
+        for key in SOLVE_OVERRIDES
+        if request.get(key) is not None
+    }
+    options = SolveOptions(**overrides)
+    checked = {key: getattr(options, key) for key in overrides}
+    for key in ("budget_per_instance", "budget_per_member"):
+        if key in checked:
+            checked[key] = float(checked[key])
+    return checked
 
 
 def parse_priority(
@@ -285,7 +272,11 @@ class StreamFront:
             await writer.drain()
 
         try:
-            line = await reader.readline()
+            line = await read_request_line(reader)
+            if line is None:
+                error = f"request line over {REQUEST_LINE_LIMIT} bytes"
+                await send({"event": "error", "error": error})
+                return
             if not line.strip():
                 return
             try:
@@ -661,14 +652,19 @@ class SolveGateway(StreamFront):
         self.engine.prewarm()
         if self.socket_path is None:
             self._server = await asyncio.start_server(
-                self._handle, host=self.host, port=self.port
+                self._handle,
+                host=self.host,
+                port=self.port,
+                limit=REQUEST_LINE_LIMIT,
             )
             sockets = self._server.sockets or []
             if sockets:
                 self.port = sockets[0].getsockname()[1]
         else:
             self._server = await asyncio.start_unix_server(
-                self._handle, path=str(self.socket_path)
+                self._handle,
+                path=str(self.socket_path),
+                limit=REQUEST_LINE_LIMIT,
             )
         if on_ready is not None:
             on_ready(self)

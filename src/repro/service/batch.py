@@ -7,6 +7,12 @@ instance gets a root seed derived from the batch seed and its own
 up — so a batch produces identical provenance for any pool size,
 including the in-process ``workers=1`` path.
 
+:class:`SolveOptions` holds a solve's configuration for ``solve_batch``,
+the streaming :class:`repro.server.engine.AsyncSolveEngine` and the
+gateway's request check alike: it validates the six options and turns
+an item into its cache-key context and its worker payload, which
+:func:`repro.service.pool.solve_case` solves on every executor.
+
 With ``workers > 1`` the misses are solved on a
 :class:`repro.service.pool.WorkerPool`, driven from one thread per
 slot.  When a worker dies — OOM kill, segfaulting native dep, fault
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -38,7 +45,7 @@ from repro.core.exceptions import SolverError
 from repro.service import faults
 from repro.service.budget import BudgetLike, PortfolioBudget
 from repro.service.cache import ResultCache, matrix_key
-from repro.service.pool import FaultCallback, WorkerPool, solve_payload
+from repro.service.pool import FaultCallback, Payload, WorkerPool, solve_case
 from repro.service.schema import SOLVER_SCHEMA_VERSION
 from repro.service.portfolio import (
     DEFAULT_PORTFOLIO,
@@ -72,7 +79,9 @@ def as_batch_items(
     Accepts ready items, bare matrices (ids are synthesized from the
     position), ``(case_id, matrix)`` pairs, and anything with
     ``case_id``/``matrix`` attributes (e.g.
-    :class:`repro.benchgen.suite.BenchmarkCase`).
+    :class:`repro.benchgen.suite.BenchmarkCase`).  An item without its
+    own member set gets ``members``, and every member set is validated
+    here, so a malformed spec fails the call, not a pool worker.
     """
     override = None if members is None else tuple(members)
     items: List[BatchItem] = []
@@ -90,6 +99,8 @@ def as_batch_items(
         else:
             raise SolverError(f"cannot interpret {case!r} as a batch item")
         items.append(item)
+    for member_set in {item.members for item in items} - {None}:
+        validate_members(member_set)
     seen: Dict[str, int] = {}
     for item in items:
         seen[item.case_id] = seen.get(item.case_id, 0) + 1
@@ -136,6 +147,83 @@ def solve_context(
     if race != "sequential":
         context += f"|race={race}"
     return context
+
+
+def _number(value: Any, kind: type) -> bool:
+    """``isinstance(value, kind)``, where a bool counts as no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _seconds(value: Any) -> bool:
+    """``None`` (unlimited) or a number of seconds, not negative."""
+    return value is None or (_number(value, numbers.Real) and not value < 0)
+
+
+_OPTION_CHECKS = {
+    "seed": (
+        "an integer",
+        lambda value: value is None or _number(value, numbers.Integral),
+    ),
+    "budget_per_instance": ("a number of seconds >= 0", _seconds),
+    "budget_per_member": ("a number of seconds >= 0", _seconds),
+    "stop_when_optimal": ("a boolean", lambda value: isinstance(value, bool)),
+    "race": (f"one of {RACE_MODES}", lambda value: value in RACE_MODES),
+}
+
+
+@dataclass(frozen=True)
+class SolveOptions:
+    """The configuration of a solve, validated once (see module docs).
+
+    Values are kept as given, so an integer budget stays an integer and
+    no cache key changes; only ``members`` becomes a tuple.
+    """
+
+    members: Tuple[str, ...] = DEFAULT_PORTFOLIO
+    seed: Optional[int] = 2024
+    budget_per_instance: Optional[float] = None
+    budget_per_member: Optional[float] = None
+    stop_when_optimal: bool = True
+    race: str = "sequential"
+
+    def __post_init__(self) -> None:
+        members = self.members
+        listed = isinstance(members, Sequence) and not isinstance(members, str)
+        if not listed or not all(isinstance(spec, str) for spec in members):
+            raise SolverError(
+                f"members must be a list of member specs, got {members!r}"
+            )
+        validate_members(members)
+        object.__setattr__(self, "members", tuple(members))
+        for name, (expected, valid) in _OPTION_CHECKS.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise SolverError(f"{name} must be {expected}, got {value!r}")
+
+    def context(self, item: BatchItem) -> str:
+        """The cache-key context of ``item`` solved under these options."""
+        return solve_context(
+            item.members,
+            instance_seed(self.seed, item.case_id),
+            self.budget_per_instance,
+            self.budget_per_member,
+            self.stop_when_optimal,
+            self.race,
+        )
+
+    def payload(self, item: BatchItem) -> Payload:
+        """The worker payload of ``item``: plain picklable values."""
+        return (
+            item.case_id,
+            item.matrix.row_masks,
+            item.matrix.num_cols,
+            item.members,
+            instance_seed(self.seed, item.case_id),
+            self.budget_per_instance,
+            self.budget_per_member,
+            self.stop_when_optimal,
+            self.race,
+        )
 
 
 STATUS_OK = "ok"
@@ -211,67 +299,35 @@ def solve_batch(
     """
     if workers < 1:
         raise SolverError(f"workers must be >= 1, got {workers}")
-    if race not in RACE_MODES:
-        raise SolverError(f"race must be one of {RACE_MODES}, got {race!r}")
-    budget_seconds: Optional[float]
-    if budget_per_instance is None:
-        budget_seconds = None
-    else:
+    total: Optional[float] = None
+    if budget_per_instance is not None:
         pot = PortfolioBudget.coerce(budget_per_instance)
-        budget_seconds = pot.total_seconds
+        total = pot.total_seconds
         if budget_per_member is None:
             budget_per_member = pot.per_member_seconds
-    items = as_batch_items(cases, members=members)
-    # Fail on malformed specs here, not from inside a pool worker.
-    for member_set in {
-        item.members if item.members is not None else tuple(members)
+    options = SolveOptions(
+        members, seed, total, budget_per_member, stop_when_optimal, race
+    )
+    items = as_batch_items(cases, members=options.members)
+
+    keys = {
+        item.case_id: matrix_key(item.matrix, options.context(item))
         for item in items
-    }:
-        validate_members(member_set)
-
-    def item_context(item: BatchItem) -> str:
-        return solve_context(
-            item.members if item.members is not None else tuple(members),
-            instance_seed(seed, item.case_id),
-            budget_seconds,
-            budget_per_member,
-            stop_when_optimal,
-            race,
-        )
-
+    }
     results: Dict[str, PortfolioResult] = {}
-    keys: Dict[str, str] = {}
-    pending: List[Tuple[Any, ...]] = []
-    for item in items:
-        keys[item.case_id] = matrix_key(item.matrix, item_context(item))
-        cached = (
-            None
-            if cache is None
-            else cache.get_by_key(keys[item.case_id])
-        )
-        if cached is not None:
-            results[item.case_id] = cached
-            continue
-        pending.append(
-            (
-                item.case_id,
-                item.matrix.row_masks,
-                item.matrix.num_cols,
-                item.members if item.members is not None else tuple(members),
-                instance_seed(seed, item.case_id),
-                budget_seconds,
-                budget_per_member,
-                stop_when_optimal,
-                race,
-            )
-        )
+    if cache is not None:
+        for item in items:
+            cached = cache.get_by_key(keys[item.case_id])
+            if cached is not None:
+                results[item.case_id] = cached
+    pending = [item for item in items if item.case_id not in results]
 
     retried: Set[str] = set()
     if pending:
-        faults.resolve_kill_case([payload[0] for payload in pending])
+        faults.resolve_kill_case([item.case_id for item in pending])
         if workers == 1 or len(pending) == 1:
-            for payload in pending:
-                results[payload[0]] = result_from_dict(solve_payload(payload))
+            for item in pending:
+                results[item.case_id] = solve_case(options.payload(item))
         else:
             slots = min(workers, len(pending))
             with WorkerPool(slots) as pool:
@@ -279,19 +335,19 @@ def solve_batch(
                     solved = list(
                         threads.map(
                             functools.partial(pool.solve, on_crash=on_fault),
-                            pending,
+                            [options.payload(item) for item in pending],
                         )
                     )
-            for payload, (result, was_retried) in zip(pending, solved):
-                results[payload[0]] = result_from_dict(result)
+            for item, (result, was_retried) in zip(pending, solved):
+                results[item.case_id] = result_from_dict(result)
                 if was_retried:
-                    retried.add(payload[0])
+                    retried.add(item.case_id)
 
     if cache is not None:
         for item in items:
             result = results[item.case_id]
             if not result.from_cache:
-                cache.put(item.matrix, result, item_context(item))
+                cache.put(item.matrix, result, options.context(item))
         cache.flush()
 
     return [

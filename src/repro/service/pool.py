@@ -1,5 +1,12 @@
 """One worker pool behind every process fan-out of the solve stack.
 
+:func:`solve_case` is every path's unit of work: it solves one payload
+(built by :meth:`repro.service.batch.SolveOptions.payload`) with the
+portfolio.  A pool worker runs it and sends back the result's dict
+form; the in-process ``workers=1`` path of
+:func:`repro.service.batch.solve_batch` and the solver threads of
+:class:`repro.server.engine.AsyncSolveEngine` call it directly.
+
 :func:`repro.service.batch.solve_batch` (``workers > 1``) and
 :class:`repro.server.engine.AsyncSolveEngine` (``executor="process"``)
 both solve cases on a :class:`WorkerPool`.  Each slot of the pool is one
@@ -42,6 +49,7 @@ from repro.service import faults
 from repro.service.budget import PortfolioBudget
 from repro.service.portfolio import (
     MemberCallback,
+    PortfolioResult,
     outcome_from_dict,
     result_to_dict,
     solve_portfolio,
@@ -59,19 +67,25 @@ a poison pill."""
 Payload = Tuple[Any, ...]
 """``(case_id, row masks, num_cols, members, instance seed, per-instance
 budget, per-member budget, stop_when_optimal, race mode)``: plain
-picklable values, never live objects."""
+picklable values, never live objects.  Only
+:meth:`repro.service.batch.SolveOptions.payload` builds one."""
 
 FaultCallback = Callable[[Dict[str, Any]], None]
 """Hook invoked with each structured fault event (``worker_crashed``)."""
 
 
-def solve_payload(
-    payload: Payload, on_member: Optional[MemberCallback] = None
-) -> Dict[str, Any]:
-    """Solve one payload with the portfolio; returns the result dict.
+def solve_case(
+    payload: Payload,
+    *,
+    cancel: Optional[object] = None,
+    on_member: Optional[MemberCallback] = None,
+) -> PortfolioResult:
+    """Solve one payload with the portfolio: the unit of work of every
+    executor.
 
-    The unit of work of a pool worker, and of the in-process
-    ``workers=1`` path of :func:`repro.service.batch.solve_batch`.
+    ``cancel`` (``is_set()``-style) aborts the solve cooperatively; it
+    cannot cross into a pool worker, so only in-process callers pass
+    one.
     """
     (
         case_id,
@@ -87,16 +101,23 @@ def solve_payload(
     # Fault seams: no-ops unless a FaultPlan is installed (chaos tests).
     faults.maybe_kill_worker(case_id)
     faults.delay("worker.solve")
-    result = solve_portfolio(
+    return solve_portfolio(
         BinaryMatrix(row_masks, num_cols),
         members=members,
         seed=seed,
         budget=PortfolioBudget(total, per_member_seconds=per_member),
         stop_when_optimal=stop,
         race=race,
+        cancel=cancel,
         on_member=on_member,
     )
-    return result_to_dict(result)
+
+
+def solve_payload(
+    payload: Payload, on_member: Optional[MemberCallback] = None
+) -> Dict[str, Any]:
+    """:func:`solve_case` in the dict form a pool worker sends back."""
+    return result_to_dict(solve_case(payload, on_member=on_member))
 
 
 def _worker_main(conn: Connection) -> None:

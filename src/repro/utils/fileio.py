@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, TypeVar
+from typing import Any, Callable, Iterator, Optional, Tuple, TypeVar
 
 try:  # pragma: no cover - always present on the POSIX targets
     import fcntl
@@ -81,6 +81,22 @@ def try_locked_file(lock_path: Path) -> Iterator[bool]:
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
+def _create_temp(path: Path) -> Tuple[int, str]:
+    """A new, uniquely named file beside ``path``: its descriptor, open
+    for writing, and its name.
+
+    Mode 0o666 lets the umask apply, as ``open()`` does;
+    ``tempfile.mkstemp`` would make every file 0600.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    while True:
+        name = str(path.parent / f".{path.name}.{secrets.token_hex(4)}.tmp")
+        try:
+            return os.open(name, flags, 0o666), name
+        except FileExistsError:
+            continue
+
+
 def atomic_write_json(
     path: Path,
     payload: Any,
@@ -91,7 +107,8 @@ def atomic_write_json(
     """Write ``payload`` as JSON via tempfile + ``os.replace``.
 
     Readers either see the old file or the new one, never a torn
-    prefix — so a crash mid-write cannot corrupt a cache file.
+    prefix — so a crash mid-write cannot corrupt a cache file.  A new
+    file gets the mode ``open()`` would give it under the umask.
     ``sort_keys`` makes the byte stream independent of dict insertion
     order — required for artifacts with a byte-identical-reproduction
     contract (scoreboard baselines).
@@ -106,12 +123,7 @@ def atomic_write_json(
     text = json.dumps(
         payload, indent=indent, separators=separators, sort_keys=sort_keys
     )
-    handle, temp_name = _with_parent(
-        path,
-        lambda: tempfile.mkstemp(
-            prefix=f".{path.name}.", suffix=".tmp", dir=str(path.parent)
-        ),
-    )
+    handle, temp_name = _with_parent(path, lambda: _create_temp(path))
     try:
         with os.fdopen(handle, "w") as stream:
             stream.write(text)

@@ -159,6 +159,34 @@ class TestDropConnectionAndResume:
         finally:
             _stop(instance, thread)
 
+    def test_plain_submit_raises_on_a_truncated_stream(self):
+        """Without a RetryPolicy, a stream cut before its batch_done
+        raises StreamInterrupted instead of ending quietly."""
+        instance = SolveGateway(
+            AsyncSolveEngine(members=("trivial", "packing:4"), seed=7, workers=2),
+            port=0,
+        )
+        thread = _start(instance)
+        cases = [
+            ("fig1b", figure_1b()),
+            ("eq2", equation_2()),
+            ("fig3", figure_3()),
+        ]
+        try:
+            events = []
+            with faults.injected(
+                faults.FaultPlan(drop_connection_after_events=4)
+            ):
+                with pytest.raises(client.StreamInterrupted):
+                    for event in client.submit(
+                        ("127.0.0.1", instance.port), cases, timeout=30
+                    ):
+                        events.append(event)
+            assert len(events) == 4
+            assert events[-1]["event"] != "batch_done"
+        finally:
+            _stop(instance, thread)
+
 
 class TestDegradedMode:
     def test_sustained_saturation_flips_to_heuristic_serving(self):
@@ -178,12 +206,15 @@ class TestDegradedMode:
             slow_events = []
 
             def hold_the_slot():
+                # branch_bound on SLOW_MATRIX outlasts the test; the
+                # cancel op below ends it.
                 slow_events.extend(
                     client.submit(
                         address,
                         [("slow", SLOW_MATRIX)],
                         timeout=60,
-                        budget_per_instance=4.0,
+                        members=["branch_bound"],
+                        budget_per_instance=600.0,
                     )
                 )
 
@@ -238,6 +269,10 @@ class TestDegradedMode:
             assert metrics["requests"]["degraded"] >= 1
             assert metrics["degraded_mode"]["entered_total"] >= 1
 
+            cancel = client.request_once(
+                address, {"op": "cancel", "case_id": "slow"}, timeout=5
+            )
+            assert cancel["cancelled"] is True
             slow.join(timeout=60)
             assert not slow.is_alive()
             assert slow_events[-1]["event"] == "batch_done"

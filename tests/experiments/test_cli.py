@@ -161,6 +161,23 @@ class TestSolveBatch:
         assert "error:" in capsys.readouterr().err
 
 
+class TestErrorHandler:
+    def test_retry_after_hint_reaches_stderr(
+        self, pattern_file, monkeypatch, capsys
+    ):
+        from repro.server import client
+
+        def saturated(*args, **kwargs):
+            raise client.DaemonError(
+                "server saturated", code="saturated", retry_after=1.5
+            )
+
+        monkeypatch.setattr(client, "submit", saturated)
+        assert main(["submit", pattern_file, "--socket", "/no.sock"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: server saturated (retry after 1.5s)\n"
+
+
 class TestMisc:
     def test_examples_listing(self, capsys):
         assert main(["examples"]) == 0

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.benchgen.random_matrices import random_matrix
 from repro.core.paper_matrices import equation_2, figure_1b, figure_3
 from repro.server import client
 from repro.server.gateway import (
@@ -143,6 +144,17 @@ class TestOps:
             )
             assert len(events) == 1, overrides
             assert events[0]["event"] == "error", overrides
+
+    def test_request_over_64_kib_is_served(self, daemon):
+        cases = [
+            (f"big{i:02d}", random_matrix(100, 100, 0.3, seed=i))
+            for i in range(25)
+        ]
+        events = list(
+            client.submit(daemon, cases, timeout=120, members=["trivial"])
+        )
+        assert sum(e["event"] == "done" for e in events) == 25
+        assert events[-1]["event"] == "batch_done"
 
     def test_stats_split_active_and_lifetime_connections(self, daemon):
         client.request_once(daemon, {"op": "ping"}, timeout=5)

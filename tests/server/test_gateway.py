@@ -22,6 +22,7 @@ from repro.benchgen.random_matrices import random_matrix
 from repro.core.exceptions import SolverError
 from repro.core.paper_matrices import equation_2, figure_1b, figure_3
 from repro.server import client
+from repro.server import gateway as gateway_module
 from repro.server.engine import AsyncSolveEngine
 from repro.server.gateway import (
     SolveGateway,
@@ -527,6 +528,52 @@ class TestRequestParsing:
         assert parse_priority({"priority": 1}, tenant) == 5
         with pytest.raises(SolverError):
             parse_priority({"priority": "high"}, tenant)
+
+
+def _big_cases():
+    """25 random 100x100 cases: a request line of about 80 KB."""
+    cases = [
+        (f"big{i:02d}", random_matrix(100, 100, 0.3, seed=i))
+        for i in range(25)
+    ]
+    wire = [client.matrix_to_case(case_id, m) for case_id, m in cases]
+    assert len(json.dumps(wire)) > 64 * 1024
+    return cases
+
+
+class TestRequestLineLimit:
+    def test_request_over_64_kib_is_served(self, gateway):
+        events = list(
+            client.submit(
+                _address(gateway), _big_cases(), timeout=120,
+                members=["trivial"],
+            )
+        )
+        assert sum(e["event"] == "done" for e in events) == 25
+        assert events[-1]["event"] == "batch_done"
+
+    def test_line_over_the_limit_is_an_error_line(self, monkeypatch):
+        monkeypatch.setattr(gateway_module, "REQUEST_LINE_LIMIT", 4096)
+        instance = SolveGateway(
+            AsyncSolveEngine(members=("trivial",)), port=0
+        )
+        thread = _start(instance)
+        try:
+            with pytest.raises(client.DaemonError, match="over 4096 bytes"):
+                list(
+                    client.submit(
+                        _address(instance), _big_cases()[:2], timeout=30
+                    )
+                )
+            # The connection was answered, and the front still serves.
+            events = list(
+                client.submit(
+                    _address(instance), [("eq2", equation_2())], timeout=30
+                )
+            )
+            assert events[-1]["event"] == "batch_done"
+        finally:
+            _stop(instance, thread)
 
 
 class TestStoreWriteFailure:

@@ -1,6 +1,8 @@
 """Unit tests for the atomic-write and lock-file helpers."""
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,18 @@ class TestAtomicWriteJson:
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n")
         assert json.loads(text) == PAYLOAD
+
+
+class TestFileMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_new_file_gets_the_umask_mode(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            atomic_write_json(tmp_path / "out.json", PAYLOAD)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 class TestParentDirectory:
