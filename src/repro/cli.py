@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.atoms.array import QubitArray
 from repro.atoms.compiler import compile_addressing
@@ -38,6 +38,8 @@ from repro.core.binary_matrix import BinaryMatrix
 from repro.core.bounds import rank_lower_bound, trivial_upper_bound
 from repro.core.fooling import fooling_number
 from repro.core.render import render_matrix, render_partition, render_side_by_side
+from repro.server.engine import EXECUTOR_KINDS
+from repro.service.portfolio import DEFAULT_PORTFOLIO, RACE_MODES
 from repro.solvers.row_packing import PackingOptions, row_packing
 from repro.solvers.sap import SapOptions, sap_solve
 
@@ -110,12 +112,11 @@ def cmd_solve_batch(args: argparse.Namespace) -> int:
     from repro.service.batch import solve_batch
     from repro.utils.tables import format_table
 
-    members = tuple(spec for spec in args.members.split(",") if spec)
     items = [(path, _read_pattern(path)) for path in args.patterns]
-    cache = _open_cache(args)
+    cache = open_cache(args)
     records = solve_batch(
         items,
-        members=members,
+        members=args.members,
         seed=args.seed,
         workers=args.workers,
         cache=cache,
@@ -140,7 +141,7 @@ def cmd_solve_batch(args: argparse.Namespace) -> int:
             ["pattern", "shape", "depth", "winner", "optimal", "cache", "time"],
             rows,
             title=f"portfolio batch — {len(records)} instances, "
-            f"{args.workers} worker(s), members: {', '.join(members)}",
+            f"{args.workers} worker(s), members: {', '.join(args.members)}",
         )
     )
     if cache is not None:
@@ -155,7 +156,7 @@ def cmd_solve_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_cache(args: argparse.Namespace):
+def open_cache(args: argparse.Namespace):
     """The ``--cache-dir`` cache (``None`` runs uncached)."""
     from repro.service.cache import ResultCache
 
@@ -180,11 +181,13 @@ def _traffic_policy(args: argparse.Namespace):
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """``serve`` (unix socket) and ``gateway`` (TCP): one front."""
-    from repro.server.gateway import default_socket_path, run_gateway
+    import asyncio
+
+    from repro.server.engine import AsyncSolveEngine
+    from repro.server.gateway import SolveGateway, default_socket_path
     from repro.server.tenancy import AdmissionController
 
-    members = tuple(spec for spec in args.members.split(",") if spec)
-    cache = _open_cache(args)
+    cache = open_cache(args)
     try:
         tenants, admission = _traffic_policy(args)
         if args.command == "gateway":
@@ -207,17 +210,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(
                 f"{where} (workers={args.workers}, "
                 f"executor={args.executor}, "
-                f"members: {', '.join(members)}, race={args.race}); "
+                f"members: {', '.join(args.members)}, race={args.race}); "
                 f"submit with: python -m repro submit PATTERN {target}",
                 flush=True,
             )
 
-        return run_gateway(
-            **address,
-            tenants=tenants,
-            admission=admission,
-            on_ready=banner,
-            members=members,
+        engine = AsyncSolveEngine(
+            members=args.members,
             seed=args.seed,
             workers=args.workers,
             cache=cache,
@@ -225,26 +224,38 @@ def cmd_serve(args: argparse.Namespace) -> int:
             race=args.race,
             executor=args.executor,
         )
+        gateway = SolveGateway(
+            engine, **address, tenants=tenants, admission=admission
+        )
+        try:
+            asyncio.run(gateway.run(on_ready=banner))
+        except KeyboardInterrupt:
+            pass
+        return 0
     finally:
         if cache is not None:
             cache.flush()
 
 
+def _front_address(args: argparse.Namespace) -> str:
+    """The front that ``submit`` and ``health`` talk to."""
+    from repro.server.gateway import default_socket_path
+
+    return args.connect or args.socket or default_socket_path()
+
+
 def cmd_submit(args: argparse.Namespace) -> int:
     from repro.experiments.common import write_json
     from repro.server import client
-    from repro.server.gateway import default_socket_path
     from repro.utils.tables import format_table
 
-    address = args.connect or args.socket or default_socket_path()
+    address = _front_address(args)
     retry = None
     if args.retries:
         retry = client.RetryPolicy(max_attempts=args.retries + 1)
     options = {}
     if args.members:
-        options["members"] = tuple(
-            spec for spec in args.members.split(",") if spec
-        )
+        options["members"] = args.members
     if args.seed is not None:
         options["seed"] = args.seed
     if args.budget is not None:
@@ -325,11 +336,9 @@ def cmd_health(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.server import client
-    from repro.server.gateway import default_socket_path
 
-    address = args.connect or args.socket or default_socket_path()
     payload = client.request_once(
-        address, {"op": "health"}, timeout=args.timeout
+        _front_address(args), {"op": "health"}, timeout=args.timeout
     )
     print(json_module.dumps(payload, indent=2, sort_keys=True))
     return 0 if payload.get("status") == "ready" else 1
@@ -510,6 +519,35 @@ def cmd_examples(_args: argparse.Namespace) -> int:
     return 0
 
 
+def member_list(text: str) -> Tuple[str, ...]:
+    """The argparse type of every ``--members`` flag: comma-separated specs."""
+    return tuple(spec for spec in text.split(",") if spec)
+
+
+def portfolio_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of every command that runs the portfolio on a cache."""
+    p.add_argument(
+        "--members", type=member_list, default=DEFAULT_PORTFOLIO,
+        help="comma-separated portfolio members (default "
+        f"{','.join(DEFAULT_PORTFOLIO)})",
+    )
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--budget", type=float, default=None,
+        help="wall-clock budget per instance (seconds; default unlimited)",
+    )
+    p.add_argument(
+        "--cache-dir", default=None,
+        help="sharded result-cache directory (safe to share between "
+        "concurrent runners; a single-file JSON cache at this path is "
+        "migrated in place)",
+    )
+    p.add_argument(
+        "--race", default="sequential", choices=RACE_MODES,
+        help="run exact backends sequentially or as a cancel-the-losers race",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
@@ -543,51 +581,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "patterns", nargs="+", help="pattern files (one instance each)"
     )
-    p_batch.add_argument(
-        "--members", default="trivial,packing:32,sap",
-        help="comma-separated portfolio members (default trivial,packing:32,sap)",
-    )
-    p_batch.add_argument("--workers", type=int, default=1)
     p_batch.add_argument("--seed", type=int, default=2024)
-    p_batch.add_argument(
-        "--budget", type=float, default=None,
-        help="wall-clock budget per instance (seconds; default unlimited)",
-    )
-    p_batch.add_argument(
-        "--cache-dir", default=None,
-        help="sharded result-cache directory (safe to share between "
-        "concurrent runners; a single-file JSON cache at this path is "
-        "migrated in place)",
-    )
-    p_batch.add_argument(
-        "--race", default="sequential",
-        choices=["sequential", "concurrent"],
-        help="run exact backends sequentially or as a cancel-the-losers race",
-    )
+    portfolio_flags(p_batch)
     p_batch.add_argument("--json", default=None, help="provenance output path")
     p_batch.set_defaults(func=cmd_solve_batch)
 
     def server_flags(p: argparse.ArgumentParser) -> None:
         """Engine + traffic-policy flags shared by serve and gateway."""
-        p.add_argument(
-            "--members", default="trivial,packing:32,sap",
-            help="default portfolio members (requests may override)",
-        )
-        p.add_argument("--workers", type=int, default=1)
+        portfolio_flags(p)
         p.add_argument("--seed", type=int, default=2024)
         p.add_argument(
-            "--budget", type=float, default=None,
-            help="default wall-clock budget per instance (seconds)",
-        )
-        p.add_argument(
-            "--cache-dir", default=None, help="sharded result-cache directory"
-        )
-        p.add_argument(
-            "--race", default="sequential",
-            choices=["sequential", "concurrent"],
-        )
-        p.add_argument(
-            "--executor", default="thread", choices=["thread", "process"],
+            "--executor", default="thread", choices=EXECUTOR_KINDS,
             help="solve in threads (live cancel) or on worker processes "
             "(multi-core; member events stream back over each worker's "
             "pipe)",
@@ -634,6 +638,18 @@ def build_parser() -> argparse.ArgumentParser:
     server_flags(p_gateway)
     p_gateway.set_defaults(func=cmd_serve)
 
+    def front_flags(p: argparse.ArgumentParser) -> None:
+        """Where ``submit`` and ``health`` find a running front."""
+        p.add_argument(
+            "--socket", default=None,
+            help="unix socket path of a `repro serve` front (default: "
+            "$XDG_RUNTIME_DIR/repro-solve-UID.sock)",
+        )
+        p.add_argument(
+            "--connect", default=None,
+            help="TCP gateway address (tcp://host:port); overrides --socket",
+        )
+
     p_submit = sub.add_parser(
         "submit",
         help="stream patterns through a running solve front",
@@ -641,15 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument(
         "patterns", nargs="+", help="pattern files (one instance each)"
     )
-    p_submit.add_argument(
-        "--socket", default=None,
-        help="unix socket path of a `repro serve` front (default: "
-        "$XDG_RUNTIME_DIR/repro-solve-UID.sock)",
-    )
-    p_submit.add_argument(
-        "--connect", default=None,
-        help="TCP gateway address (tcp://host:port); overrides --socket",
-    )
+    front_flags(p_submit)
     p_submit.add_argument(
         "--tenant", default=None,
         help="tenant identity for quota/priority accounting",
@@ -663,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
         "clamped to the tenant's configured class)",
     )
     p_submit.add_argument(
-        "--members", default=None,
+        "--members", type=member_list, default=None,
         help="comma-separated member override for this request",
     )
     p_submit.add_argument("--seed", type=int, default=None)
@@ -671,9 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=float, default=None,
         help="wall-clock budget per instance (seconds)",
     )
-    p_submit.add_argument(
-        "--race", default=None, choices=["sequential", "concurrent"],
-    )
+    p_submit.add_argument("--race", default=None, choices=RACE_MODES)
     p_submit.add_argument(
         "--timeout", type=float, default=300.0,
         help="per-read socket timeout (seconds)",
@@ -690,15 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
         "health",
         help="probe a running front: ready / degraded / draining",
     )
-    p_health.add_argument(
-        "--socket", default=None,
-        help="unix socket path of a `repro serve` front (default: "
-        "$XDG_RUNTIME_DIR/repro-solve-UID.sock)",
-    )
-    p_health.add_argument(
-        "--connect", default=None,
-        help="TCP gateway address (tcp://host:port); overrides --socket",
-    )
+    front_flags(p_health)
     p_health.add_argument(
         "--timeout", type=float, default=10.0,
         help="socket timeout (seconds)",

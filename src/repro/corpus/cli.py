@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
+from repro.cli import open_cache, portfolio_flags
 from repro.corpus.baseline import (
     baseline_from_report,
     diff_against_baseline,
@@ -54,24 +55,14 @@ def _families(args: argparse.Namespace) -> Optional[List[str]]:
     return [name for name in args.families.split(",") if name]
 
 
-def _members(args: argparse.Namespace) -> Sequence[str]:
-    return tuple(spec for spec in args.members.split(",") if spec)
-
-
-def _cache(args: argparse.Namespace):
-    from repro.service.cache import ResultCache
-
-    return ResultCache.sharded(args.cache_dir) if args.cache_dir else None
-
-
 def _run(args: argparse.Namespace) -> ScoreboardReport:
-    cache = _cache(args)
+    cache = open_cache(args)
     try:
         return run_scoreboard(
             families=_families(args),
             profile=_resolve_profile(args),
             seed=args.seed,
-            members=_members(args),
+            members=args.members,
             workers=args.workers,
             cache=cache,
             budget_per_instance=args.budget,
@@ -254,30 +245,11 @@ def add_scoreboard_parser(sub) -> None:
         )
         p.add_argument("--seed", type=int, default=DEFAULT_CORPUS_SEED)
 
-    def solve_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--members", default="trivial,packing:32,sap",
-            help="comma-separated portfolio members",
-        )
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument(
-            "--budget", type=float, default=None,
-            help="wall-clock budget per instance (seconds)",
-        )
-        p.add_argument(
-            "--cache-dir", default=None,
-            help="sharded result-cache directory",
-        )
-        p.add_argument(
-            "--race", default="sequential",
-            choices=["sequential", "concurrent"],
-        )
-
     p_run = board.add_parser(
         "run", help="solve the corpus and print the score table"
     )
     corpus_flags(p_run)
-    solve_flags(p_run)
+    portfolio_flags(p_run)
     p_run.add_argument(
         "--baseline", default=None,
         help="also diff against this baseline (exit 1 on regression)",
@@ -294,7 +266,7 @@ def add_scoreboard_parser(sub) -> None:
         "diff", help="re-run and compare against a baseline (the CI gate)"
     )
     corpus_flags(p_diff)
-    solve_flags(p_diff)
+    portfolio_flags(p_diff)
     p_diff.add_argument(
         "--baseline", required=True, help="baseline JSON to compare against"
     )
@@ -310,7 +282,7 @@ def add_scoreboard_parser(sub) -> None:
         "fixed profile/seed/members)",
     )
     corpus_flags(p_update)
-    solve_flags(p_update)
+    portfolio_flags(p_update)
     p_update.add_argument(
         "--baseline", required=True, help="baseline JSON to (re)write"
     )

@@ -6,7 +6,7 @@ provenance rules as production traffic) and turns the records into
 :class:`ScoreRow` s: per-instance depth, the best-known value for that
 instance, the depth ratio against it, wall time, and the winning
 solver.  Per-solver wins feed the same :class:`repro.service.stats
-.WinTally` the daemon/gateway ``metrics`` ops report, so an offline
+.WinTally` the gateway's ``metrics`` op reports, so an offline
 scoreboard run and a live server expose one vocabulary.
 
 Best-known resolution, strongest first:

@@ -24,6 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 
+from repro.cli import member_list
+from repro.service.portfolio import DEFAULT_PORTFOLIO
+
 
 def _limits(args: argparse.Namespace):
     from repro.server.shards import StoreLimits
@@ -136,7 +139,6 @@ def cmd_cache_prewarm(args: argparse.Namespace) -> int:
         if args.families
         else None
     )
-    members = tuple(spec for spec in args.members.split(",") if spec)
     instances = build_corpus(
         families, profile=args.profile, seed=args.seed
     )
@@ -149,7 +151,7 @@ def cmd_cache_prewarm(args: argparse.Namespace) -> int:
     try:
         records = solve_batch(
             instances,
-            members=members,
+            members=args.members,
             seed=args.seed,
             workers=args.workers,
             cache=cache,
@@ -161,7 +163,7 @@ def cmd_cache_prewarm(args: argparse.Namespace) -> int:
     hits = sum(1 for record in records if record.from_cache)
     print(
         f"prewarmed {len(records)} instances into {args.store} "
-        f"(profile {args.profile}, members: {', '.join(members)}): "
+        f"(profile {args.profile}, members: {', '.join(args.members)}): "
         f"{hits} already cached, {len(records) - hits} solved fresh"
     )
     print(
@@ -235,7 +237,7 @@ def add_cache_parser(sub) -> None:
         help="comma-separated family subset (default: all registered)",
     )
     p_warm.add_argument(
-        "--members", default="trivial,packing:32,sap",
+        "--members", type=member_list, default=DEFAULT_PORTFOLIO,
         help="comma-separated portfolio members",
     )
     p_warm.add_argument("--workers", type=int, default=1)

@@ -75,7 +75,6 @@ from repro.service.portfolio import (
     DEFAULT_PORTFOLIO,
     MemberOutcome,
     PortfolioResult,
-    is_exact_member,
     result_from_dict,
 )
 from repro.service.pool import WORKER_CRASHED, WorkerPool, solve_case
@@ -157,12 +156,7 @@ def cancellation_affected(result: PortfolioResult) -> bool:
             return True
         if outcome.error is not None and "cancelled" in outcome.error:
             return True
-        if (
-            is_exact_member(outcome.name)
-            and not outcome.skipped
-            and not outcome.proved_optimal
-            and outcome.error is None
-        ):
+        if outcome.stopped_early:
             return True
     return False
 

@@ -190,11 +190,7 @@ def validate_overrides(request: Dict[str, Any]) -> Dict[str, Any]:
         if request.get(key) is not None
     }
     options = SolveOptions(**overrides)
-    checked = {key: getattr(options, key) for key in overrides}
-    for key in ("budget_per_instance", "budget_per_member"):
-        if key in checked:
-            checked[key] = float(checked[key])
-    return checked
+    return {key: getattr(options, key) for key in overrides}
 
 
 def parse_priority(
@@ -222,6 +218,8 @@ def exact_backend_timed_out(result: PortfolioResult) -> bool:
     for outcome in result.outcomes:
         if not is_exact_member(outcome.name):
             continue
+        if outcome.stopped_early:
+            return True
         error = outcome.error or ""
         if "BudgetExceeded" in error or "budget exhausted" in error:
             return True
@@ -237,14 +235,12 @@ class StreamFront:
         *,
         tenants: Optional[TenantRegistry] = None,
         admission: Optional[AdmissionController] = None,
-        metrics: Optional[ServerMetrics] = None,
-        degraded: Optional[DegradedModeController] = None,
     ) -> None:
         self.engine = engine
         self.tenants = tenants or TenantRegistry()
         self.admission = admission
-        self.metrics = metrics or ServerMetrics()
-        self.degraded = degraded or DegradedModeController()
+        self.metrics = ServerMetrics()
+        self.degraded = DegradedModeController()
         self._stop = asyncio.Event()
 
     def request_shutdown(self) -> None:
@@ -625,11 +621,8 @@ class SolveGateway(StreamFront):
         socket_path: Optional[Union[str, Path]] = None,
         tenants: Optional[TenantRegistry] = None,
         admission: Optional[AdmissionController] = None,
-        metrics: Optional[ServerMetrics] = None,
     ) -> None:
-        super().__init__(
-            engine, tenants=tenants, admission=admission, metrics=metrics
-        )
+        super().__init__(engine, tenants=tenants, admission=admission)
         self.host = host
         self.port = port
         self.socket_path = None if socket_path is None else Path(socket_path)
@@ -704,37 +697,3 @@ class SolveGateway(StreamFront):
         except OSError:
             pass
         return True
-
-
-def run_gateway(
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    socket_path: Optional[Union[str, Path]] = None,
-    tenants: Optional[TenantRegistry] = None,
-    admission: Optional[AdmissionController] = None,
-    on_ready: Optional[Callable[[SolveGateway], None]] = None,
-    **engine_options: Any,
-) -> int:
-    """Build an engine and serve it until shutdown (blocking).
-
-    The entry point of ``python -m repro serve`` (``socket_path``) and
-    ``python -m repro gateway`` (``host``/``port``).
-    """
-
-    async def serve() -> None:
-        gateway = SolveGateway(
-            AsyncSolveEngine(**engine_options),
-            host=host,
-            port=port,
-            socket_path=socket_path,
-            tenants=tenants,
-            admission=admission,
-        )
-        await gateway.run(on_ready=on_ready)
-
-    try:
-        asyncio.run(serve())
-    except KeyboardInterrupt:
-        pass
-    return 0

@@ -1,6 +1,7 @@
-"""Multi-tenant traffic policy for the solve fronts.
+"""Multi-tenant traffic policy for the solve front.
 
-The daemon and the TCP gateway multiplex many clients onto one shared
+:class:`repro.server.gateway.SolveGateway`, over TCP or a unix socket,
+multiplexes many clients onto one shared
 :class:`repro.server.engine.AsyncSolveEngine`; this module is the
 policy layer that keeps them from starving each other:
 
@@ -13,9 +14,9 @@ policy layer that keeps them from starving each other:
   once, at most ``max_waiting`` wait behind them, and everything beyond
   that is rejected *immediately* with a structured ``retry_after``
   estimate instead of queueing unboundedly;
-* :class:`ServerMetrics` — the shared counters both fronts report
-  through their ``stats``/``metrics`` ops (connection gauge + lifetime
-  counter, requests, rejections, per-tenant usage).
+* :class:`ServerMetrics` — the counters the front reports through its
+  ``stats``/``metrics`` ops (connection gauge + lifetime counter,
+  requests, rejections, per-tenant usage).
 
 Rejections raise :class:`RequestRejected`, whose :meth:`~RequestRejected
 .as_event` is the wire form::
@@ -23,8 +24,8 @@ Rejections raise :class:`RequestRejected`, whose :meth:`~RequestRejected
     {"event": "error", "code": "saturated", "retry_after": 1.25,
      "error": "..."}
 
-Everything here is event-loop confined (no locks): both fronts call it
-only from their serving loop.
+Everything here is event-loop confined (no locks): the front calls it
+only from its serving loop.
 """
 
 from __future__ import annotations
@@ -154,17 +155,11 @@ class TenantConfig:
 class TenantState:
     """A tenant's live accounting: quota window, gauge, usage counters."""
 
-    def __init__(
-        self,
-        config: TenantConfig,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, config: TenantConfig) -> None:
         self.config = config
         self.quota = QuotaWindow(
             config.quota_seconds,
             window_seconds=config.quota_window_seconds,
-            clock=clock,
         )
         self.in_flight = 0
         self.requests = 0
@@ -193,8 +188,8 @@ class TenantRegistry:
     """Resolve request identities to live tenant state.
 
     Unknown tenants either materialize lazily under ``default`` policy
-    (``allow_unknown=True``, the daemon's open-door default) or are
-    rejected outright (the locked-down gateway deployment).
+    (``allow_unknown=True``, the open-door default) or are rejected
+    outright (a locked-down deployment).
     """
 
     def __init__(
@@ -203,16 +198,14 @@ class TenantRegistry:
         *,
         allow_unknown: bool = True,
         default: Optional[TenantConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.allow_unknown = allow_unknown
         self.default = default or TenantConfig(DEFAULT_TENANT)
-        self._clock = clock
         self._states: Dict[str, TenantState] = {}
         for config in configs:
             if config.name in self._states:
                 raise SolverError(f"duplicate tenant {config.name!r}")
-            self._states[config.name] = TenantState(config, clock=clock)
+            self._states[config.name] = TenantState(config)
 
     def resolve(
         self, name: Optional[str], key: Optional[str] = None
@@ -234,7 +227,7 @@ class TenantRegistry:
                 quota_window_seconds=self.default.quota_window_seconds,
                 max_in_flight=self.default.max_in_flight,
             )
-            state = TenantState(config, clock=self._clock)
+            state = TenantState(config)
             self._states[tenant] = state
         if state.config.key is not None and key != state.config.key:
             raise RequestRejected(
@@ -445,44 +438,25 @@ class DegradedModeController:
     admission rejections (the window is saturated faster than clients
     back off) and a run of exact-backend budget timeouts (instances too
     hard for their budgets — more rejected traffic is coming).  When
-    either signal crosses its threshold within ``window_seconds``, the
-    front flips to *degraded*: saturated requests are answered with
+    either signal reaches its threshold within :attr:`WINDOW_SECONDS`,
+    the front flips to *degraded*: saturated requests are answered with
     heuristic-only solves flagged ``degraded=true`` rather than turned
     away — a worse depth bound now beats a perfect answer never.
 
     Hysteresis: once entered, degraded mode persists for
-    ``cooldown_seconds`` after the *last* triggering signal, so the
+    :attr:`COOLDOWN_SECONDS` after the *last* triggering signal, so the
     mode doesn't flap on every pruned window.  Event-loop confined
     like everything else in this module (no locks).
     """
 
+    SATURATION_THRESHOLD = 5
+    EXACT_TIMEOUT_THRESHOLD = 3
+    WINDOW_SECONDS = 30.0
+    COOLDOWN_SECONDS = 10.0
+
     def __init__(
-        self,
-        *,
-        saturation_threshold: int = 5,
-        exact_timeout_threshold: int = 3,
-        window_seconds: float = 30.0,
-        cooldown_seconds: float = 10.0,
-        clock: Callable[[], float] = time.monotonic,
+        self, *, clock: Callable[[], float] = time.monotonic
     ) -> None:
-        if saturation_threshold < 1:
-            raise SolverError(
-                f"saturation_threshold must be >= 1, "
-                f"got {saturation_threshold}"
-            )
-        if exact_timeout_threshold < 1:
-            raise SolverError(
-                f"exact_timeout_threshold must be >= 1, "
-                f"got {exact_timeout_threshold}"
-            )
-        if window_seconds <= 0 or cooldown_seconds < 0:
-            raise SolverError(
-                "window_seconds must be > 0 and cooldown_seconds >= 0"
-            )
-        self.saturation_threshold = saturation_threshold
-        self.exact_timeout_threshold = exact_timeout_threshold
-        self.window_seconds = window_seconds
-        self.cooldown_seconds = cooldown_seconds
         self._clock = clock
         self._saturations: Deque[float] = deque()
         self._exact_timeouts: Deque[float] = deque()
@@ -494,13 +468,13 @@ class DegradedModeController:
     # ------------------------------------------------------------------
     def _prune(self, now: float) -> None:
         for window in (self._saturations, self._exact_timeouts):
-            while window and now - window[0] > self.window_seconds:
+            while window and now - window[0] > self.WINDOW_SECONDS:
                 window.popleft()
 
     def _over_threshold(self) -> bool:
         return (
-            len(self._saturations) >= self.saturation_threshold
-            or len(self._exact_timeouts) >= self.exact_timeout_threshold
+            len(self._saturations) >= self.SATURATION_THRESHOLD
+            or len(self._exact_timeouts) >= self.EXACT_TIMEOUT_THRESHOLD
         )
 
     def _note(self, window: Deque[float]) -> None:
@@ -531,7 +505,7 @@ class DegradedModeController:
             return True
         if (
             self._last_signal is not None
-            and now - self._last_signal <= self.cooldown_seconds
+            and now - self._last_signal <= self.COOLDOWN_SECONDS
         ):
             return True
         self._degraded_since = None
@@ -551,10 +525,10 @@ class DegradedModeController:
             ),
             "recent_saturations": len(self._saturations),
             "recent_exact_timeouts": len(self._exact_timeouts),
-            "saturation_threshold": self.saturation_threshold,
-            "exact_timeout_threshold": self.exact_timeout_threshold,
-            "window_seconds": self.window_seconds,
-            "cooldown_seconds": self.cooldown_seconds,
+            "saturation_threshold": self.SATURATION_THRESHOLD,
+            "exact_timeout_threshold": self.EXACT_TIMEOUT_THRESHOLD,
+            "window_seconds": self.WINDOW_SECONDS,
+            "cooldown_seconds": self.COOLDOWN_SECONDS,
             "entered_total": self.entered_total,
             "served_degraded": self.served_degraded,
         }
@@ -565,12 +539,11 @@ class DegradedModeController:
 # ----------------------------------------------------------------------
 @dataclass
 class ServerMetrics:
-    """Counters both fronts feed and report (one stats surface).
+    """Counters the front feeds and reports (one stats surface).
 
     ``connections_active`` is a gauge (incremented on accept,
     decremented in the handler's ``finally``); ``connections_total`` is
-    the lifetime counter — the split the old daemon's single
-    ever-growing ``connections`` field conflated.
+    the lifetime counter.
     """
 
     connections_active: int = 0

@@ -175,8 +175,9 @@ _OPTION_CHECKS = {
 class SolveOptions:
     """The configuration of a solve, validated once (see module docs).
 
-    Values are kept as given, so an integer budget stays an integer and
-    no cache key changes; only ``members`` becomes a tuple.
+    ``members`` becomes a tuple and each budget a float, so ``5`` and
+    ``5.0`` seconds share one cache key whatever the entry point; the
+    other values are kept as given.
     """
 
     members: Tuple[str, ...] = DEFAULT_PORTFOLIO
@@ -199,6 +200,10 @@ class SolveOptions:
             value = getattr(self, name)
             if not valid(value):
                 raise SolverError(f"{name} must be {expected}, got {value!r}")
+        for name in ("budget_per_instance", "budget_per_member"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
 
     def context(self, item: BatchItem) -> str:
         """The cache-key context of ``item`` solved under these options."""

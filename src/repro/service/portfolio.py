@@ -117,6 +117,20 @@ class MemberOutcome:
     branch-and-bound node count).  Carries wall-clock material, so it is
     serialized only alongside the timing fields."""
 
+    @property
+    def stopped_early(self) -> bool:
+        """An exact member that ran and ended unproven with no error.
+
+        SAP returns its best partition this way when its deadline or a
+        cancel flag stops it.
+        """
+        return (
+            is_exact_member(self.name)
+            and not self.skipped
+            and not self.proved_optimal
+            and self.error is None
+        )
+
     def as_dict(self, *, include_timing: bool = True) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "name": self.name,

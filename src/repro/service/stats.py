@@ -1,6 +1,6 @@
-"""Per-solver win accounting shared by the server fronts and the scoreboard.
+"""Per-solver win accounting shared by the server front and the scoreboard.
 
-The daemon and gateway ``metrics`` ops report which portfolio member
+The gateway's ``metrics`` op reports which portfolio member
 wins how often (:meth:`repro.server.engine.AsyncSolveEngine.stats`);
 the corpus scoreboard reports the same thing for an offline corpus run.
 Both feed one counter class so the two surfaces can never drift apart

@@ -21,6 +21,7 @@ import pytest
 from repro.benchgen.random_matrices import random_matrix
 from repro.core.exceptions import SolverError
 from repro.core.paper_matrices import equation_2, figure_1b, figure_3
+from repro.corpus.registry import build_corpus
 from repro.server import client
 from repro.server import gateway as gateway_module
 from repro.server.engine import AsyncSolveEngine
@@ -31,6 +32,7 @@ from repro.server.gateway import (
     validate_overrides,
 )
 from repro.server.tenancy import (
+    HEALTH_DEGRADED,
     REJECT_DENIED,
     REJECT_QUOTA,
     REJECT_SATURATED,
@@ -349,6 +351,41 @@ class TestFailurePaths:
             time.sleep(0.05)
         else:
             pytest.fail("abandoned connection never released its gauge")
+
+
+class TestExactTimeoutSignal:
+    def test_sap_budget_stops_enter_degraded_mode(self):
+        # SAP stops on its deadline silently: unproven, with no error.
+        # Three such solves within the window are the second degraded
+        # signal of docs/failure-semantics.md.
+        [matrix] = [
+            instance.matrix
+            for instance in build_corpus(
+                ["table1-rand"], profile="quick", seed=2024
+            )
+            if instance.case_id == "rand-10x10-occ0.5-1"
+        ]
+        front = SolveGateway(AsyncSolveEngine(), port=0)
+        thread = _start(front)
+        try:
+            for index in range(3):
+                events = list(
+                    client.submit(
+                        _address(front),
+                        [(f"c{index}", matrix)],
+                        timeout=30,
+                        budget_per_member=0.0,
+                    )
+                )
+                [done] = [e for e in events if e["event"] == "done"]
+                assert done["provenance"]["optimal"] is False
+            health = client.request_once(
+                _address(front), {"op": "health"}, timeout=5
+            )
+        finally:
+            _stop(front, thread)
+        assert health["status"] == HEALTH_DEGRADED
+        assert health["degraded_mode"]["recent_exact_timeouts"] == 3
 
 
 class TestSolveOnHandlerTask:

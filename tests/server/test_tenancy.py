@@ -18,6 +18,7 @@ from repro.server.tenancy import (
     REJECT_TENANT_SATURATED,
     REJECT_UNKNOWN_TENANT,
     AdmissionController,
+    DegradedModeController,
     RequestRejected,
     ServerMetrics,
     TenantConfig,
@@ -339,6 +340,62 @@ class TestAdmissionController:
             "code": REJECT_SATURATED,
             "retry_after": 1.235,
         }
+
+
+# ----------------------------------------------------------------------
+# Degraded mode
+# ----------------------------------------------------------------------
+class TestDegradedModeController:
+    @staticmethod
+    def _timeouts_at(clock, controller, *times):
+        for at in times:
+            clock.now = at
+            controller.note_exact_timeout()
+
+    def test_three_exact_timeouts_within_the_window_enter_the_mode(self):
+        clock = FakeClock()
+        controller = DegradedModeController(clock=clock)
+        self._timeouts_at(clock, controller, 0.0, 14.0)
+        assert not controller.degraded()
+        self._timeouts_at(clock, controller, 28.0)
+        assert controller.degraded()
+        snapshot = controller.snapshot()
+        assert snapshot["degraded"] is True
+        assert snapshot["recent_exact_timeouts"] == 3
+        assert snapshot["entered_total"] == 1
+
+    def test_signals_older_than_the_window_are_pruned(self):
+        clock = FakeClock()
+        controller = DegradedModeController(clock=clock)
+        # The first signal is 32 s old when the third arrives.
+        self._timeouts_at(clock, controller, 0.0, 16.0, 32.0)
+        assert not controller.degraded()
+        assert controller.snapshot()["recent_exact_timeouts"] == 2
+        clock.now = 62.5
+        assert controller.snapshot()["recent_exact_timeouts"] == 0
+        assert controller.entered_total == 0
+
+    def test_mode_lasts_the_cooldown_after_the_last_signal(self):
+        clock = FakeClock()
+        controller = DegradedModeController(clock=clock)
+        self._timeouts_at(clock, controller, 0.0, 25.0, 28.0)
+        clock.now = 30.5  # the first signal is pruned: below threshold
+        assert controller.snapshot()["recent_exact_timeouts"] == 2
+        assert controller.degraded()
+        clock.now = 38.0  # 10 s after the last signal
+        assert controller.degraded()
+        clock.now = 38.5
+        assert not controller.degraded()
+        snapshot = controller.snapshot()
+        assert snapshot["degraded"] is False
+        assert snapshot["degraded_for_seconds"] is None
+
+    def test_snapshot_reports_the_thresholds(self):
+        snapshot = DegradedModeController().snapshot()
+        assert snapshot["saturation_threshold"] == 5
+        assert snapshot["exact_timeout_threshold"] == 3
+        assert snapshot["window_seconds"] == 30.0
+        assert snapshot["cooldown_seconds"] == 10.0
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The pinned keys were recorded with the build before ``SolveOptions``
 existed, when ``solve_batch`` and the engine each built their own
 cache-key context: a change that moves one of them retires every
-cached result of that configuration.
+cached result of that configuration.  Budgets are keyed as floats, so
+an integer budget shares the key of the float recorded then.
 """
 
 import asyncio
@@ -26,11 +27,13 @@ from repro.service.portfolio import result_from_dict
 
 MEMBERS = ("trivial", "packing:4")
 
+PER_MEMBER_2_KEY = (
+    "18c8451e65d56cecea8e478b888264798e24281c0d480dc920cf0496ba01edb7"
+)
+
 PINNED_KEYS = {
-    "per_member_int": (
-        {"budget_per_member": 2},
-        "46da1f3a86f620e7ff9d37ca3a2b07d1187df5b95b6658eb9bd67414ac0c526f",
-    ),
+    "per_member_int": ({"budget_per_member": 2}, PER_MEMBER_2_KEY),
+    "per_member_int_as_float": ({"budget_per_member": 2.0}, PER_MEMBER_2_KEY),
     "per_member_float": (
         {"budget_per_member": 2.5},
         "f3916925aa09a43a43dc4c502ecdccc3fe45721af5387f55cdf36cd79582d686",
@@ -42,13 +45,10 @@ PINNED_KEYS = {
 }
 
 # solve_batch reads a bare per-instance budget as PortfolioBudget seconds
-# (a float); the engine keeps the value it is given.
+# (a float); the engine now keys it as a float too.
 PER_INSTANCE_INT = {"budget_per_instance": 5}
 BATCH_PER_INSTANCE_INT_KEY = (
     "4c04c6ba734deea4043b9ae9293729e906f116415661487a1dd921fbada115d9"
-)
-ENGINE_PER_INSTANCE_INT_KEY = (
-    "663db334e89d796964388d0b1b6fdc3b4ac05217703b11d65c2d0ae07cd2fa75"
 )
 
 
@@ -84,7 +84,7 @@ class TestPinnedKeys:
 
     def test_integer_per_instance_budget_keys_unchanged(self):
         assert _batch_key(PER_INSTANCE_INT) == BATCH_PER_INSTANCE_INT_KEY
-        assert _engine_key(PER_INSTANCE_INT) == ENGINE_PER_INSTANCE_INT_KEY
+        assert _engine_key(PER_INSTANCE_INT) == BATCH_PER_INSTANCE_INT_KEY
 
 
 class TestValidation:
@@ -93,11 +93,12 @@ class TestValidation:
             ["trivial"], np.int64(3), 5, 2, False, "concurrent"
         )
         assert options.members == ("trivial",)
-        assert options.budget_per_instance == 5
-        assert isinstance(options.budget_per_instance, int)
+        assert isinstance(options.seed, np.int64)
+        for budget in (options.budget_per_instance, options.budget_per_member):
+            assert isinstance(budget, float)
         item = BatchItem("a", equation_2(), options.members)
         assert options.context(item) == solve_context(
-            ("trivial",), instance_seed(3, "a"), 5, 2, False, "concurrent"
+            ("trivial",), instance_seed(3, "a"), 5.0, 2.0, False, "concurrent"
         )
 
     @pytest.mark.parametrize(
