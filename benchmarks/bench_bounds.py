@@ -10,7 +10,10 @@ It also times the two exact rank paths on the paper-scale matrices the
 ``heuristic-large`` workload solves: the five 100x100 ``table1-rand``
 occupancies and the full ``scale-sweep`` family.  ``rank_over_q``
 eliminates matrices of 32x32 and up modulo primes; the Bareiss path is
-what it replaced there.
+what it replaced there.  Beside each group's ``rank/`` entry, a
+``trivial/`` entry times the rest of the set-up every portfolio solve
+pays: ``reduce_matrix`` (Section III-B's removal of empty and duplicate
+rows and columns) and the ``trivial`` member's ``trivial_partition``.
 
 Every case is recorded in ``BENCH_bounds.json`` (override the directory
 with ``REPRO_BENCH_DIR``), with process times that are the fastest of
@@ -29,10 +32,12 @@ from repro.benchgen.random_matrices import random_nonempty_matrix
 from repro.benchgen.suite import LARGE_OCCUPANCIES, random_suite
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.bounds import fooling_lower_bound, rank_lower_bound
+from repro.core.reductions import reduce_matrix
 from repro.corpus.registry import get_family
 from repro.cover.lp import lp_lower_bound
 from repro.linalg.exact_rank import _bareiss_rank, _to_int_rows, rank_over_q
 from repro.solvers.branch_bound import binary_rank_branch_bound
+from repro.solvers.trivial import trivial_partition
 from repro.utils.rng import spawn_seeds
 
 from _record import record_entry
@@ -112,7 +117,8 @@ def _heuristic_large_groups(root_seed):
 
 
 def test_rank_paths_on_heuristic_large(root_seed):
-    """Eq. 3 by ``rank_over_q`` and by the Bareiss path, same ranks."""
+    """Eq. 3 by ``rank_over_q`` and by the Bareiss path, same ranks;
+    then the CPU time of ``reduce_matrix`` and ``trivial_partition``."""
     for name, matrices in _heuristic_large_groups(root_seed):
         ranks, rank_cpu = _fastest(lambda: [rank_over_q(m) for m in matrices])
         reference, bareiss_cpu = _fastest(
@@ -128,6 +134,19 @@ def test_rank_paths_on_heuristic_large(root_seed):
                 "rank_over_q_cpu_s": rank_cpu,
                 "bareiss_cpu_s": bareiss_cpu,
                 "speedup": bareiss_cpu / rank_cpu,
+            },
+        )
+        _, reduce_cpu = _fastest(lambda: [reduce_matrix(m) for m in matrices])
+        depths, trivial_cpu = _fastest(
+            lambda: [trivial_partition(m).depth for m in matrices]
+        )
+        record_entry(
+            "bounds",
+            f"trivial/{name}",
+            {
+                "depths": depths,
+                "reduce_matrix_cpu_s": reduce_cpu,
+                "trivial_partition_cpu_s": trivial_cpu,
             },
         )
 

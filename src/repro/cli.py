@@ -519,15 +519,16 @@ def cmd_examples(_args: argparse.Namespace) -> int:
     return 0
 
 
-def member_list(text: str) -> Tuple[str, ...]:
-    """The argparse type of every ``--members`` flag: comma-separated specs."""
-    return tuple(spec for spec in text.split(",") if spec)
+def comma_list(text: str) -> Tuple[str, ...]:
+    """The argparse type of every ``--members`` and ``--families`` flag:
+    comma-separated names, empty ones dropped."""
+    return tuple(name for name in text.split(",") if name)
 
 
 def portfolio_flags(p: argparse.ArgumentParser) -> None:
     """The flags of every command that runs the portfolio on a cache."""
     p.add_argument(
-        "--members", type=member_list, default=DEFAULT_PORTFOLIO,
+        "--members", type=comma_list, default=DEFAULT_PORTFOLIO,
         help="comma-separated portfolio members (default "
         f"{','.join(DEFAULT_PORTFOLIO)})",
     )
@@ -671,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         "clamped to the tenant's configured class)",
     )
     p_submit.add_argument(
-        "--members", type=member_list, default=None,
+        "--members", type=comma_list, default=None,
         help="comma-separated member override for this request",
     )
     p_submit.add_argument("--seed", type=int, default=None)

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.exceptions import InvalidMatrixError
-from repro.utils.bitops import bit_indices, popcount
+from repro.utils.bitops import bit_indices, popcount, transpose_masks
 
 
 class BinaryMatrix:
@@ -165,12 +165,7 @@ class BinaryMatrix:
 
     def col_masks(self) -> Tuple[int, ...]:
         """All column masks (masks over rows), computed in one pass."""
-        masks = [0] * self._num_cols
-        for i, row in enumerate(self._rows):
-            bit = 1 << i
-            for j in bit_indices(row):
-                masks[j] |= bit
-        return tuple(masks)
+        return tuple(transpose_masks(self._rows, self._num_cols))
 
     def __getitem__(self, key: Tuple[int, int]) -> int:
         i, j = key

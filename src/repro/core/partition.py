@@ -104,18 +104,23 @@ class Partition:
             )
         cover = [0] * self._shape[0]
         for index, rect in enumerate(self._rectangles):
-            for i in rect.rows:
-                overlap = cover[i] & rect.col_mask
+            cols = rect.col_mask
+            rows = rect.row_mask
+            while rows:
+                low = rows & -rows
+                rows ^= low
+                i = low.bit_length() - 1
+                overlap = cover[i] & cols
                 if overlap:
                     raise InvalidPartitionError(
                         f"rectangle #{index} {rect!r} overlaps earlier "
                         f"rectangles on row {i} (cols mask {overlap:#x})"
                     )
-                cover[i] |= rect.col_mask
-        for i in range(self._shape[0]):
-            if cover[i] != matrix.row_mask(i):
-                missing = matrix.row_mask(i) & ~cover[i]
-                spurious = cover[i] & ~matrix.row_mask(i)
+                cover[i] |= cols
+        for i, (covered, row) in enumerate(zip(cover, matrix.row_masks)):
+            if covered != row:
+                missing = row & ~covered
+                spurious = covered & ~row
                 raise InvalidPartitionError(
                     f"row {i}: missing cols mask {missing:#x}, "
                     f"spurious cols mask {spurious:#x}"

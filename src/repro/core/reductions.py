@@ -9,12 +9,13 @@ partition of the reduced matrix back to the original.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import InvalidPartitionError
 from repro.core.partition import Partition
 from repro.core.rectangle import Rectangle
+from repro.utils.bitops import bits_from_indices, transpose_masks
 
 
 @dataclass(frozen=True)
@@ -42,16 +43,26 @@ class ReducedMatrix:
                 f"partition shape {partition.shape} != reduced shape "
                 f"{self.matrix.shape}"
             )
-        rects: List[Rectangle] = []
-        for rect in partition:
-            rows: List[int] = []
-            for k in rect.rows:
-                rows.extend(self.row_groups[k])
-            cols: List[int] = []
-            for k in rect.cols:
-                cols.extend(self.col_groups[k])
-            rects.append(Rectangle.from_sets(rows, cols))
+        row_bits = [bits_from_indices(group) for group in self.row_groups]
+        col_bits = [bits_from_indices(group) for group in self.col_groups]
+        rects = [
+            Rectangle(
+                _union(row_bits, rect.row_mask),
+                _union(col_bits, rect.col_mask),
+            )
+            for rect in partition
+        ]
         return Partition(rects, self.original_shape)
+
+
+def _union(group_bits: Sequence[int], mask: int) -> int:
+    """OR of ``group_bits[k]`` over the set bits ``k`` of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= group_bits[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def reduce_matrix(matrix: BinaryMatrix) -> ReducedMatrix:
@@ -72,30 +83,23 @@ def reduce_matrix(matrix: BinaryMatrix) -> ReducedMatrix:
         else:
             row_order[mask] = len(row_groups)
             row_groups.append([i])
-    kept_row_masks = list(row_order.keys())
 
     # --- columns (on the row-reduced matrix) ---
-    col_signature: Dict[Tuple[int, ...], int] = {}
+    # A column's signature is its mask over the kept rows.
+    col_order: Dict[int, int] = {}
     col_groups: List[List[int]] = []
-    for j in range(matrix.num_cols):
-        signature = tuple((mask >> j) & 1 for mask in kept_row_masks)
-        if not any(signature):
+    signatures = transpose_masks(list(row_order), matrix.num_cols)
+    for j, signature in enumerate(signatures):
+        if signature == 0:
             continue
-        if signature in col_signature:
-            col_groups[col_signature[signature]].append(j)
+        if signature in col_order:
+            col_groups[col_order[signature]].append(j)
         else:
-            col_signature[signature] = len(col_groups)
+            col_order[signature] = len(col_groups)
             col_groups.append([j])
 
-    # Rebuild each kept row against the kept-column order.
-    reduced_masks = []
-    for mask in kept_row_masks:
-        new_mask = 0
-        for new_j, group in enumerate(col_groups):
-            if (mask >> group[0]) & 1:
-                new_mask |= 1 << new_j
-        reduced_masks.append(new_mask)
-
+    # The kept signatures are the reduced matrix's columns.
+    reduced_masks = transpose_masks(list(col_order), len(row_groups))
     reduced = BinaryMatrix(reduced_masks, len(col_groups))
     return ReducedMatrix(
         matrix=reduced,

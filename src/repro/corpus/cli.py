@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
 
-from repro.cli import open_cache, portfolio_flags
+from repro.cli import comma_list, open_cache, portfolio_flags
 from repro.corpus.baseline import (
     baseline_from_report,
     diff_against_baseline,
@@ -49,17 +48,11 @@ def _resolve_profile(args: argparse.Namespace) -> str:
     return args.profile
 
 
-def _families(args: argparse.Namespace) -> Optional[List[str]]:
-    if not args.families:
-        return None
-    return [name for name in args.families.split(",") if name]
-
-
 def _run(args: argparse.Namespace) -> ScoreboardReport:
     cache = open_cache(args)
     try:
         return run_scoreboard(
-            families=_families(args),
+            families=args.families or None,
             profile=_resolve_profile(args),
             seed=args.seed,
             members=args.members,
@@ -195,7 +188,7 @@ def cmd_scoreboard_update(args: argparse.Namespace) -> int:
 
 def cmd_scoreboard_list(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args)
-    names = _families(args) or family_names()
+    names = args.families or family_names()
     rows = []
     for name in names:
         family = get_family(name)
@@ -240,7 +233,7 @@ def add_scoreboard_parser(sub) -> None:
             help="shorthand for --profile smoke (the CI gate size)",
         )
         p.add_argument(
-            "--families", default=None,
+            "--families", type=comma_list, default=None,
             help="comma-separated family subset (default: all registered)",
         )
         p.add_argument("--seed", type=int, default=DEFAULT_CORPUS_SEED)

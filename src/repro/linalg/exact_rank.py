@@ -23,11 +23,16 @@ exact paths; :data:`MODULAR_CUTOFF` picks one by the matrix's shape.
 
 Before eliminating, the modular path drops zero rows and columns and
 merges duplicates (this keeps the rank), and sets ``full``, the smaller
-of the two remaining counts, which bounds ``rank_Q`` from above.  It
+of the two remaining counts, which bounds ``rank_Q`` from above.  A
+:class:`BinaryMatrix` does this with :func:`reduce_matrix` on its row
+masks and unpacks the reduced masks into the 0/1 array it eliminates:
+0 and 1 are their own residues mod every prime, and a binary row's
+squared norm is its number of ones.  Integer inputs do it on Python
+lists and reduce every entry mod ``p``.  Either way the modular path
 tries primes until the best rank seen, ``best``, equals ``full``, or
 until ``(p_1...p_k)**2 > H**2``, where ``H**2`` is the smaller of the
-products of the squared row norms and of the squared column norms.
-Then ``best == rank_Q``:
+products of the squared norms of the distinct rows and of the distinct
+columns of the row-merged matrix.  Then ``best == rank_Q``:
 
 * ``rank_p <= rank_Q`` for every prime, so ``best <= rank_Q``.
 * Let ``r = rank_Q``.  Some ``r x r`` minor ``D`` of the reduced matrix
@@ -48,11 +53,12 @@ from __future__ import annotations
 from itertools import count
 from math import prod
 from operator import mul
-from typing import Iterator, List, Sequence, Union
+from typing import Callable, Iterator, List, Sequence, Union
 
 import numpy as np
 
 from repro.core.binary_matrix import BinaryMatrix
+from repro.core.reductions import reduce_matrix
 
 MatrixLike = Union[BinaryMatrix, np.ndarray, Sequence[Sequence[int]]]
 
@@ -75,6 +81,9 @@ def _to_int_rows(matrix: MatrixLike) -> List[List[int]]:
 
 def rank_over_q(matrix: MatrixLike) -> int:
     """Exact rank of an integer matrix over the field of rationals."""
+    if isinstance(matrix, BinaryMatrix):
+        if min(matrix.shape) >= MODULAR_CUTOFF:
+            return _binary_modular_rank(matrix)
     rows = _to_int_rows(matrix)
     if not rows or not rows[0]:
         return 0
@@ -115,27 +124,68 @@ def _bareiss_rank(rows: List[List[int]]) -> int:
 
 
 def _modular_rank(rows: List[List[int]]) -> int:
-    """Rank over Q by elimination modulo primes, certified as above."""
+    """Rank over Q of integer rows by elimination modulo primes."""
     distinct_rows = list(dict.fromkeys(tuple(row) for row in rows if any(row)))
     cols = list(dict.fromkeys(col for col in zip(*distinct_rows) if any(col)))
-    full = min(len(distinct_rows), len(cols))
+    return _certified_rank(
+        lambda p: np.array(
+            [[x % p for x in col] for col in cols], dtype=np.int64
+        ),
+        min(len(distinct_rows), len(cols)),
+        lambda: min(
+            prod(sum(map(mul, row, row)) for row in distinct_rows),
+            prod(sum(map(mul, col, col)) for col in cols),
+        ),
+    )
+
+
+def _binary_modular_rank(matrix: BinaryMatrix) -> int:
+    """Rank over Q of a 0/1 matrix by elimination modulo primes."""
+    reduced = reduce_matrix(matrix)
+    num_rows, num_cols = reduced.matrix.shape
+    width = (num_cols + 7) // 8
+    packed = b"".join(
+        mask.to_bytes(width, "little") for mask in reduced.matrix.row_masks
+    )
+    bits = np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8).reshape(num_rows, width),
+        axis=1,
+        count=num_cols,
+        bitorder="little",
+    )
+    # Row norms are taken on the original rows, column norms on the
+    # row-merged matrix, as the integer path does.
+    return _certified_rank(
+        lambda p: bits.astype(np.int64),
+        min(num_rows, num_cols),
+        lambda: min(
+            prod(matrix.row_mask(g[0]).bit_count() for g in reduced.row_groups),
+            prod(bits.sum(axis=0, dtype=np.int64).tolist()),
+        ),
+    )
+
+
+def _certified_rank(
+    residues: Callable[[int], np.ndarray],
+    full: int,
+    hadamard_sq: Callable[[], int],
+) -> int:
+    """The prime loop: ``residues(p)`` is a fresh ``int64`` copy of the
+    merged matrix mod ``p``, ``full`` the smaller of its dimensions and
+    ``hadamard_sq()`` the ``H**2`` of the stop rule (module docstring)."""
     if full == 0:
         return 0
-    best, modulus_sq, hadamard_sq = 0, 1, None
+    best, modulus_sq, bound_sq = 0, 1, None
     primes = _word_primes()
     while True:
         p = next(primes)
-        reduced = np.array([[x % p for x in col] for col in cols], dtype=np.int64)
-        best = max(best, _rank_mod_p(reduced, p))
+        best = max(best, _rank_mod_p(residues(p), p))
         modulus_sq *= p * p
         if best == full:
             return best
-        if hadamard_sq is None:  # only once the first prime falls short
-            hadamard_sq = min(
-                prod(sum(map(mul, row, row)) for row in distinct_rows),
-                prod(sum(map(mul, col, col)) for col in cols),
-            )
-        if modulus_sq > hadamard_sq:
+        if bound_sq is None:  # only once the first prime falls short
+            bound_sq = hadamard_sq()
+        if modulus_sq > bound_sq:
             return best
 
 

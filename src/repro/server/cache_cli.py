@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.cli import member_list
+from repro.cli import comma_list
 from repro.service.portfolio import DEFAULT_PORTFOLIO
 
 
@@ -134,13 +134,8 @@ def cmd_cache_prewarm(args: argparse.Namespace) -> int:
     from repro.service.batch import solve_batch
     from repro.service.cache import ResultCache
 
-    families = (
-        [name for name in args.families.split(",") if name]
-        if args.families
-        else None
-    )
     instances = build_corpus(
-        families, profile=args.profile, seed=args.seed
+        args.families or None, profile=args.profile, seed=args.seed
     )
     cache = ResultCache.sharded(
         args.store,
@@ -233,11 +228,11 @@ def add_cache_parser(sub) -> None:
         help="corpus size profile to solve (default smoke)",
     )
     p_warm.add_argument(
-        "--families", default=None,
+        "--families", type=comma_list, default=None,
         help="comma-separated family subset (default: all registered)",
     )
     p_warm.add_argument(
-        "--members", type=member_list, default=DEFAULT_PORTFOLIO,
+        "--members", type=comma_list, default=DEFAULT_PORTFOLIO,
         help="comma-separated portfolio members",
     )
     p_warm.add_argument("--workers", type=int, default=1)

@@ -640,33 +640,37 @@ class SolveGateway(StreamFront):
         supervisors should report from here, not from the requested
         arguments.
         """
-        if self.socket_path is not None:
-            await self._claim_socket_path()
-        self.engine.prewarm()
-        if self.socket_path is None:
-            self._server = await asyncio.start_server(
-                self._handle,
-                host=self.host,
-                port=self.port,
-                limit=REQUEST_LINE_LIMIT,
-            )
-            sockets = self._server.sockets or []
-            if sockets:
-                self.port = sockets[0].getsockname()[1]
-        else:
-            self._server = await asyncio.start_unix_server(
-                self._handle,
-                path=str(self.socket_path),
-                limit=REQUEST_LINE_LIMIT,
-            )
-        if on_ready is not None:
-            on_ready(self)
+        bound = False
         try:
+            if self.socket_path is not None:
+                await self._claim_socket_path()
+            self.engine.prewarm()
+            if self.socket_path is None:
+                self._server = await asyncio.start_server(
+                    self._handle,
+                    host=self.host,
+                    port=self.port,
+                    limit=REQUEST_LINE_LIMIT,
+                )
+                sockets = self._server.sockets or []
+                if sockets:
+                    self.port = sockets[0].getsockname()[1]
+            else:
+                self._server = await asyncio.start_unix_server(
+                    self._handle,
+                    path=str(self.socket_path),
+                    limit=REQUEST_LINE_LIMIT,
+                )
+                bound = True
             async with self._server:
+                if on_ready is not None:
+                    on_ready(self)
                 await self._stop.wait()
         finally:
             self._server = None
-            if self.socket_path is not None:
+            # Only the socket this gateway bound: a refused claim means
+            # a live server owns the path.
+            if bound:
                 try:
                     self.socket_path.unlink()
                 except OSError:

@@ -19,13 +19,11 @@ def trivial_partition(matrix: BinaryMatrix) -> Partition:
     inner = reduced.matrix
     if inner.num_rows <= inner.num_cols:
         rects = [
-            Rectangle(1 << k, inner.row_mask(k))
-            for k in range(inner.num_rows)
+            Rectangle(1 << k, mask) for k, mask in enumerate(inner.row_masks)
         ]
     else:
         rects = [
-            Rectangle(inner.col_mask(k), 1 << k)
-            for k in range(inner.num_cols)
+            Rectangle(mask, 1 << k) for k, mask in enumerate(inner.col_masks())
         ]
     partition = reduced.lift(Partition(rects, inner.shape))
     partition.validate(matrix)

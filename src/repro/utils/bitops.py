@@ -9,7 +9,7 @@ single machine-friendly operations.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
 def popcount(mask: int) -> int:
@@ -27,7 +27,27 @@ def bit_indices(mask: int) -> Iterator[int]:
 
 def mask_to_tuple(mask: int) -> Tuple[int, ...]:
     """Set bits of ``mask`` as a sorted tuple of indices."""
-    return tuple(bit_indices(mask))
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(indices)
+
+
+def transpose_masks(masks: Sequence[int], width: int) -> List[int]:
+    """The ``width`` masks of the transposed bit matrix: bit ``i`` of
+    entry ``j`` is bit ``j`` of ``masks[i]``.  One pass over the set
+    bits, so the cost scales with the ones, not with the cells."""
+    out = [0] * width
+    bit = 1
+    for mask in masks:
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= bit
+            mask ^= low
+        bit <<= 1
+    return out
 
 
 def bits_from_indices(indices: Iterable[int]) -> int:

@@ -46,6 +46,28 @@ class TestValidation:
         with pytest.raises(InvalidPartitionError, match="spurious"):
             partition.validate(matrix)
 
+    def test_messages_name_the_first_failure(self):
+        matrix = BinaryMatrix.from_strings(["0110", "1100", "0000"])
+        overlapping = Partition(
+            [
+                Rectangle.from_sets([0, 1], [1, 2]),
+                Rectangle.from_sets([1, 2], [0, 1]),
+            ],
+            (3, 4),
+        )
+        with pytest.raises(InvalidPartitionError) as overlap:
+            overlapping.validate(matrix)
+        assert str(overlap.value) == (
+            "rectangle #1 Rectangle(rows=[1, 2], cols=[0, 1]) overlaps "
+            "earlier rectangles on row 1 (cols mask 0x2)"
+        )
+        wrong_row = Partition([Rectangle.from_sets([0, 1], [1, 2])], (3, 4))
+        with pytest.raises(InvalidPartitionError) as mismatch:
+            wrong_row.validate(matrix)
+        assert str(mismatch.value) == (
+            "row 1: missing cols mask 0x1, spurious cols mask 0x4"
+        )
+
     def test_shape_mismatch_detected(self):
         partition, _ = two_rect_partition()
         with pytest.raises(InvalidPartitionError, match="shape"):

@@ -256,6 +256,37 @@ class TestModularPath:
         assert rank_over_q(np.ones((50, 40), dtype=int)) == 1
 
 
+class TestBinaryPath:
+    """A ``BinaryMatrix`` is merged on its masks, integer rows on lists;
+    both must give the prime loop the same stop-rule inputs."""
+
+    @pytest.fixture
+    def loop_inputs(self, monkeypatch):
+        seen = []
+        certified_rank = exact_rank._certified_rank
+
+        def spy(residues, full, hadamard_sq):
+            p = 2**31 - 1
+            rank_p = exact_rank._rank_mod_p(residues(p), p)
+            seen.append((full, hadamard_sq(), rank_p))
+            return certified_rank(residues, full, hadamard_sq)
+
+        monkeypatch.setattr(exact_rank, "_certified_rank", spy)
+        return seen
+
+    def test_same_full_hadamard_and_residue_rank(self, loop_inputs):
+        rng = random.Random(11)
+        for _ in range(4):
+            base = union_of_rectangles(36, 44, 6, rng)
+            # Duplicate some rows and columns, and add empty ones.
+            masks = [mask | (mask & 0b1111) << 44 for mask in base.row_masks]
+            m = BinaryMatrix(masks + masks[:5] + [0, 0], 48)
+            assert rank_over_q(m) == rank_over_q(m.to_numpy()) == bareiss(m)
+            binary, integer = loop_inputs[-2:]
+            assert binary == integer
+            del loop_inputs[:]
+
+
 class TestWordPrimes:
     def test_descend_from_the_largest_prime_below_2_31(self):
         primes = list(islice(_word_primes(), 4))

@@ -635,3 +635,54 @@ class TestStoreWriteFailure:
             _stop(instance, thread)
         assert [e["event"] for e in events][-2:] == ["done", "batch_done"]
         assert metrics["engine"]["cache"]["store_write_failures"] == 1
+
+
+class TestStartFailure:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_port_in_use_raises_and_closes_the_engine(self, executor):
+        engine = AsyncSolveEngine(members=("trivial",), executor=executor)
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            instance = SolveGateway(engine, port=taken.getsockname()[1])
+            with pytest.raises(OSError) as failure:
+                asyncio.run(instance.run())
+        assert failure.value.errno == errno.EADDRINUSE
+        assert engine._executor is None
+        assert engine._pool is None
+
+    def test_refused_start_leaves_the_live_socket_file(self, tmp_path):
+        path = tmp_path / "s.sock"
+        live = SolveGateway(
+            AsyncSolveEngine(members=("trivial",)), socket_path=path
+        )
+        thread = threading.Thread(
+            target=lambda: asyncio.run(live.run()), daemon=True
+        )
+        thread.start()
+        try:
+            # Listening, not just bound: a refused connect reads as stale.
+            deadline = time.time() + 60
+            while True:
+                try:
+                    client.request_once(str(path), {"op": "ping"}, timeout=5)
+                    break
+                except SolverError:
+                    if time.time() > deadline:
+                        raise
+                    time.sleep(0.01)
+            engine = AsyncSolveEngine(members=("trivial",))
+            second = SolveGateway(engine, socket_path=path)
+            with pytest.raises(SolverError, match="already serving"):
+                asyncio.run(second.run())
+            assert path.exists()
+            assert engine._executor is None
+            assert client.request_once(str(path), {"op": "ping"}, timeout=5)
+        finally:
+            try:
+                client.request_once(str(path), {"op": "shutdown"}, timeout=5)
+            except SolverError:
+                pass
+            thread.join(timeout=20)
+        assert not thread.is_alive()
+        assert not path.exists()

@@ -20,6 +20,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.exceptions import SolverError
+from repro.corpus.registry import family_names
 from repro.server import client
 from repro.service.portfolio import DEFAULT_PORTFOLIO, RACE_MODES
 
@@ -131,3 +132,18 @@ class TestPortfolioFlags:
             assert parser.parse_args([*argv, "--race", mode]).race == mode
         with pytest.raises(SystemExit):
             parser.parse_args([*argv, "--race", "warp"])
+
+    @pytest.mark.parametrize(
+        "argv", [["scoreboard", "run"], ["cache", "prewarm", "d"]], ids=_name
+    )
+    def test_families_parse_like_members(self, argv):
+        parser = build_parser()
+        args = parser.parse_args([*argv, "--families", "a,,b"])
+        assert args.families == ("a", "b")
+        assert parser.parse_args(argv).families is None
+
+    def test_empty_families_mean_all_families(self, capsys):
+        assert main(["scoreboard", "list", "--profile", "smoke",
+                     "--families", ""]) == 0
+        listed = capsys.readouterr().out
+        assert all(name in listed for name in family_names())
