@@ -164,18 +164,25 @@ def open_cache(args: argparse.Namespace):
 
 
 def _traffic_policy(args: argparse.Namespace):
-    """Shared tenancy/admission resolution for serve/gateway."""
+    """Shared tenancy/admission resolution for serve/gateway.
+
+    ``AdmissionController`` gets only the limits given, so its own
+    defaults and checks apply.  The TCP front always runs admission
+    control: unbounded queues are exactly what it exists to prevent.
+    """
     from repro.server.tenancy import AdmissionController, TenantRegistry
 
     tenants = (
         TenantRegistry.from_file(args.tenants) if args.tenants else None
     )
+    limits = {
+        name: getattr(args, name)
+        for name in ("max_in_flight", "max_waiting")
+        if getattr(args, name) is not None
+    }
     admission = None
-    if args.max_in_flight is not None or args.max_waiting is not None:
-        admission = AdmissionController(
-            max_in_flight=args.max_in_flight or 4,
-            max_waiting=16 if args.max_waiting is None else args.max_waiting,
-        )
+    if limits or args.command == "gateway":
+        admission = AdmissionController(**limits)
     return tenants, admission
 
 
@@ -185,17 +192,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.server.engine import AsyncSolveEngine
     from repro.server.gateway import SolveGateway, default_socket_path
-    from repro.server.tenancy import AdmissionController
 
     cache = open_cache(args)
     try:
         tenants, admission = _traffic_policy(args)
         if args.command == "gateway":
             address = {"host": args.host, "port": args.port}
-            if admission is None:
-                # The TCP front always runs admission control: unbounded
-                # queues are exactly what it exists to prevent.
-                admission = AdmissionController()
         else:
             address = {"socket_path": args.socket or default_socket_path()}
 

@@ -20,7 +20,12 @@ from repro.completion.masked import (
 from repro.core.exceptions import SolverError
 from repro.core.partition import Partition
 from repro.core.rectangle import Rectangle
-from repro.solvers.row_packing import PackingOptions
+from repro.solvers.row_packing import (
+    PackingOptions,
+    _trial_orders,
+    best_of_trials,
+    resolve_options,
+)
 from repro.utils.rng import ensure_rng
 
 
@@ -85,44 +90,14 @@ def masked_row_packing(
     **kwargs,
 ) -> Partition:
     """Best-of-trials masked packing (matrix and transpose)."""
-    if options is None:
-        options = PackingOptions(**kwargs)
-    elif kwargs:
-        raise SolverError("pass either options or keyword arguments, not both")
-
+    options = resolve_options(options, kwargs)
     rng = ensure_rng(options.seed)
-    candidates = [(masked, False)]
-    if options.use_transpose:
-        transposed = MaskedMatrix(
-            masked.ones_matrix.transpose(),
-            masked.dont_care_matrix.transpose(),
-        )
-        candidates.append((transposed, True))
-
-    # Only shuffled orders differ from trial to trial.
-    trials = options.trials if options.ordering == "shuffle" else 1
-    best: Optional[Partition] = None
-    for candidate, transposed in candidates:
-        num_rows = candidate.shape[0]
-        identity = list(range(num_rows))
-        for _ in range(trials):
-            if options.ordering == "given":
-                order = identity
-            elif options.ordering == "sparse_first":
-                order = sorted(
-                    identity,
-                    key=lambda i: candidate.ones_matrix.row_mask(i).bit_count(),
-                )
-            else:
-                order = identity[:]
-                rng.shuffle(order)
-            partition = masked_pack_rows_once(
-                candidate, order, basis_update=options.basis_update
-            )
-            if transposed:
-                partition = partition.transpose()
-            if best is None or partition.depth < best.depth:
-                best = partition
-    assert best is not None
-    validate_masked_partition(masked, best)
-    return best
+    return best_of_trials(
+        masked,
+        lambda side, order: masked_pack_rows_once(
+            side, order, basis_update=options.basis_update
+        ),
+        lambda side: _trial_orders(side.ones_matrix, options, rng),
+        validate_masked_partition,
+        use_transpose=options.use_transpose,
+    )

@@ -14,7 +14,7 @@ from typing import Iterator, List, Tuple
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import InvalidMatrixError, InvalidPartitionError
-from repro.core.fooling import max_clique_mask
+from repro.core.fooling import _fooling_adjacency, max_clique_mask
 from repro.core.partition import Partition
 from repro.utils.bitops import popcount
 
@@ -104,6 +104,11 @@ class MaskedMatrix:
     def ones(self) -> Iterator[Cell]:
         return self._ones.ones()
 
+    def transpose(self) -> "MaskedMatrix":
+        return MaskedMatrix(
+            self._ones.transpose(), self._dont_care.transpose()
+        )
+
     def to_strings(self) -> List[str]:
         return [
             "".join(self.value(i, j) for j in range(self.shape[1]))
@@ -162,21 +167,8 @@ def masked_fooling_number(masked: MaskedMatrix, *, max_cells: int = 96) -> int:
     cells = list(masked.ones())
     if not cells:
         return 0
-    free = masked.free_matrix()
+    adjacency = _fooling_adjacency(masked.free_matrix(), cells)
     n = len(cells)
-
-    def incompatible(a: Cell, b: Cell) -> bool:
-        (i, j), (i2, j2) = a, b
-        if i == i2 or j == j2:
-            return False
-        return free[i, j2] == 0 or free[i2, j] == 0
-
-    adjacency = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if incompatible(cells[a], cells[b]):
-                adjacency[a] |= 1 << b
-                adjacency[b] |= 1 << a
     if n > max_cells:
         # Greedy clique: still a valid lower bound.
         chosen = 0

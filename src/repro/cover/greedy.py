@@ -8,13 +8,14 @@ rectangles seeded at an uncovered cell.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import SolverError
 from repro.core.partition import Partition
 from repro.core.rectangle import Rectangle
 from repro.cover.validate import validate_cover
+from repro.solvers.row_packing import best_of_trials
 from repro.utils.bitops import popcount
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -94,17 +95,10 @@ def greedy_cover(
     if trials < 1:
         raise SolverError(f"trials must be >= 1, got {trials}")
     rng = ensure_rng(seed)
-    best: Optional[Partition] = None
-    candidates = [(matrix, False)]
-    if use_transpose:
-        candidates.append((matrix.transpose(), True))
-    for candidate, transposed in candidates:
-        for _ in range(trials):
-            cover = greedy_cover_once(candidate, seed=rng.getrandbits(62))
-            if transposed:
-                cover = cover.transpose()
-            if best is None or cover.depth < best.depth:
-                best = cover
-    assert best is not None
-    validate_cover(matrix, best)
-    return best
+    return best_of_trials(
+        matrix,
+        lambda side, pass_seed: greedy_cover_once(side, seed=pass_seed),
+        lambda side: [rng.getrandbits(62) for _ in range(trials)],
+        validate_cover,
+        use_transpose=use_transpose,
+    )

@@ -525,10 +525,7 @@ class StreamFront:
                         elif event.record is not None:
                             # Quota is charged for compute actually
                             # burned; cache hits ride free.
-                            tenant.charge(
-                                event.case_id,
-                                event.record.result.wall_seconds,
-                            )
+                            tenant.charge(event.record.result.wall_seconds)
                             if exact_backend_timed_out(
                                 event.record.result
                             ):

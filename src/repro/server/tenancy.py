@@ -168,8 +168,8 @@ class TenantState:
         self.cases_completed = 0
         self.cache_hits = 0
 
-    def charge(self, label: str, seconds: float) -> None:
-        self.quota.charge(label, seconds)
+    def charge(self, seconds: float) -> None:
+        self.quota.charge(seconds)
 
     def usage(self) -> Dict[str, Any]:
         return {
@@ -235,9 +235,6 @@ class TenantRegistry:
                 code=REJECT_DENIED,
             )
         return state
-
-    def states(self) -> Dict[str, TenantState]:
-        return dict(self._states)
 
     def usage(self) -> Dict[str, Dict[str, Any]]:
         return {

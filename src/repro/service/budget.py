@@ -8,11 +8,11 @@ whatever remains of the total, and keeps a ledger of who spent what —
 the ledger feeds the provenance records of
 :mod:`repro.service.portfolio`.
 
-:class:`QuotaWindow` reuses the same ledger idiom one level up: where a
-``PortfolioBudget`` meters one race, a ``QuotaWindow`` meters one
-*tenant* of the solve service across many races — a rolling window of
-compute seconds that refills on a fixed cadence.  It is the accounting
-substrate of :mod:`repro.server.tenancy`.
+One level up, where a ``PortfolioBudget`` meters one race, a
+:class:`QuotaWindow` meters one *tenant* of the solve service across
+many races — a rolling window of compute seconds that refills on a
+fixed cadence.  It is the accounting substrate of
+:mod:`repro.server.tenancy`.
 """
 
 from __future__ import annotations
@@ -100,11 +100,10 @@ class PortfolioBudget:
 class QuotaWindow:
     """A rolling compute quota: N seconds of solving per window.
 
-    Each window holds one fresh :class:`PortfolioBudget` used purely as
-    a ledger — charges accumulate against it until the window's span of
-    wall-clock time elapses, at which point the pot is replaced and the
-    tenant starts spending from zero again.  ``quota_seconds=None``
-    means unlimited (the ledger still accumulates, for metrics).
+    Charges add up in the window's spend until the window's span of
+    wall-clock time elapses; then the spend resets and the tenant
+    starts from zero again.  ``quota_seconds=None`` means unlimited
+    (the spend still adds up, for metrics).
 
     The ``clock`` is injectable so tests can roll windows without
     sleeping.  A lifetime total survives window rolls; per-window spend
@@ -130,7 +129,7 @@ class QuotaWindow:
         self.window_seconds = window_seconds
         self._clock = clock
         self._window_began = clock()
-        self._pot = PortfolioBudget()
+        self._window_spent = 0.0
         self.lifetime_seconds = 0.0
         self.lifetime_charges = 0
 
@@ -138,19 +137,19 @@ class QuotaWindow:
         now = self._clock()
         if now - self._window_began >= self.window_seconds:
             self._window_began = now
-            self._pot = PortfolioBudget()
+            self._window_spent = 0.0
 
-    def charge(self, label: str, seconds: float) -> None:
+    def charge(self, seconds: float) -> None:
         """Record ``seconds`` of compute against the current window."""
         self._roll()
-        self._pot.charge(label, seconds)
+        self._window_spent += seconds
         self.lifetime_seconds += seconds
         self.lifetime_charges += 1
 
     def spent(self) -> float:
         """Seconds charged inside the current window."""
         self._roll()
-        return self._pot.spent()
+        return self._window_spent
 
     def remaining(self) -> Optional[float]:
         """Seconds left in the window (``None`` = unlimited)."""

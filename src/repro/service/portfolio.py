@@ -26,7 +26,7 @@ Member specs
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.binary_matrix import BinaryMatrix
@@ -630,7 +630,3 @@ def solve_portfolio(
         outcomes=tuple(outcomes),
     )
 
-
-def mark_cached(result: PortfolioResult) -> PortfolioResult:
-    """A copy of ``result`` flagged as served from cache."""
-    return replace(result, from_cache=True)

@@ -13,13 +13,14 @@ the column set to the intersection still increases the covered area.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import SolverError
 from repro.core.partition import Partition
 from repro.core.rectangle import Rectangle
 from repro.solvers.postopt import merge_rectangles
+from repro.solvers.row_packing import best_of_trials, validate_partition
 from repro.utils.bitops import popcount
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -83,19 +84,10 @@ def greedy_rectangle(
     if trials < 1:
         raise SolverError(f"trials must be >= 1, got {trials}")
     rng = ensure_rng(seed)
-    best: Optional[Partition] = None
-    candidates = [(matrix, False)]
-    if use_transpose:
-        candidates.append((matrix.transpose(), True))
-    for candidate, transposed in candidates:
-        for _ in range(trials):
-            partition = greedy_rectangle_once(
-                candidate, seed=rng.getrandbits(62)
-            )
-            if transposed:
-                partition = partition.transpose()
-            if best is None or partition.depth < best.depth:
-                best = partition
-    assert best is not None
-    best.validate(matrix)
-    return best
+    return best_of_trials(
+        matrix,
+        lambda side, pass_seed: greedy_rectangle_once(side, seed=pass_seed),
+        lambda side: [rng.getrandbits(62) for _ in range(trials)],
+        validate_partition,
+        use_transpose=use_transpose,
+    )

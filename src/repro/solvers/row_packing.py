@@ -14,13 +14,15 @@ Row order matters (Figure 3), so the heuristic reshuffles and retries;
 the best result over all trials — run on both the matrix and its
 transpose — is returned.  Each trial adds at most one rectangle per
 distinct non-empty row, so the result is never worse than the trivial
-heuristic's bound.
+heuristic's bound.  That loop, :func:`best_of_trials`, also runs the
+Algorithm X variant, masked packing and the two greedy baselines.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import SolverError
@@ -30,6 +32,8 @@ from repro.utils.bitops import popcount
 from repro.utils.rng import RngLike, ensure_rng
 
 TraceCallback = Callable[[str, dict], None]
+M = TypeVar("M")
+T = TypeVar("T")
 
 ORDERINGS = ("shuffle", "given", "sparse_first")
 
@@ -142,20 +146,68 @@ def pack_rows_once(
 
 
 def _trial_orders(
-    matrix: BinaryMatrix, options: PackingOptions
+    matrix: BinaryMatrix, options: PackingOptions, rng: random.Random
 ) -> List[List[int]]:
+    """The row orders of one side's passes; only ``shuffle`` draws from
+    ``rng``, once per trial."""
     identity = list(range(matrix.num_rows))
     if options.ordering == "given":
         return [identity]
     if options.ordering == "sparse_first":
         return [sorted(identity, key=lambda i: popcount(matrix.row_mask(i)))]
-    rng = ensure_rng(options.seed)
     orders: List[List[int]] = []
     for _ in range(options.trials):
         order = identity[:]
         rng.shuffle(order)
         orders.append(order)
     return orders
+
+
+def best_of_trials(
+    matrix: M,
+    pass_once: Callable[[M, T], Partition],
+    inputs: Callable[[M], Iterable[T]],
+    validate: Callable[[M, Partition], None],
+    *,
+    use_transpose: bool,
+) -> Partition:
+    """The shallowest of ``pass_once(side, x)`` for ``x`` in ``inputs(side)``.
+
+    The sides are ``matrix`` and, with ``use_transpose``, its transpose,
+    whose partitions are transposed back.  A later partition replaces
+    the best only when strictly shallower, and ``validate(matrix, best)``
+    checks the one returned.
+    """
+    sides = [(matrix, False)]
+    if use_transpose:
+        sides.append((matrix.transpose(), True))
+    best: Optional[Partition] = None
+    for side, transposed in sides:
+        for item in inputs(side):
+            partition = pass_once(side, item)
+            if transposed:
+                partition = partition.transpose()
+            if best is None or partition.depth < best.depth:
+                best = partition
+    assert best is not None
+    validate(matrix, best)
+    return best
+
+
+def resolve_options(
+    options: Optional[PackingOptions], kwargs: dict
+) -> PackingOptions:
+    """``options``, or a :class:`PackingOptions` built from ``kwargs``."""
+    if options is None:
+        return PackingOptions(**kwargs)
+    if kwargs:
+        raise SolverError("pass either options or keyword arguments, not both")
+    return options
+
+
+def validate_partition(matrix: BinaryMatrix, partition: Partition) -> None:
+    """:meth:`Partition.validate` in :func:`best_of_trials`' argument order."""
+    partition.validate(matrix)
 
 
 def row_packing(
@@ -165,33 +217,16 @@ def row_packing(
     **kwargs,
 ) -> Partition:
     """Best-of-``trials`` row packing on the matrix and its transpose."""
-    if options is None:
-        options = PackingOptions(**kwargs)
-    elif kwargs:
-        raise SolverError("pass either options or keyword arguments, not both")
-
-    best: Optional[Partition] = None
-    for candidate_matrix, transposed in _candidate_matrices(matrix, options):
-        for order in _trial_orders(candidate_matrix, options):
-            partition = pack_rows_once(
-                candidate_matrix, order, basis_update=options.basis_update
-            )
-            if transposed:
-                partition = partition.transpose()
-            if best is None or partition.depth < best.depth:
-                best = partition
-    assert best is not None
-    best.validate(matrix)
-    return best
-
-
-def _candidate_matrices(
-    matrix: BinaryMatrix, options: PackingOptions
-) -> List[Tuple[BinaryMatrix, bool]]:
-    candidates: List[Tuple[BinaryMatrix, bool]] = [(matrix, False)]
-    if options.use_transpose:
-        candidates.append((matrix.transpose(), True))
-    return candidates
+    options = resolve_options(options, kwargs)
+    return best_of_trials(
+        matrix,
+        lambda side, order: pack_rows_once(
+            side, order, basis_update=options.basis_update
+        ),
+        lambda side: _trial_orders(side, options, ensure_rng(options.seed)),
+        validate_partition,
+        use_transpose=options.use_transpose,
+    )
 
 
 @dataclass

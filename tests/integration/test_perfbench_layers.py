@@ -5,17 +5,31 @@ solver and serving functions named by string, and ``Tracer.patch``
 reads ``owner.__dict__[attr]``. A method moved out of its own class
 body, or a function moved out of its module, would otherwise fail only
 under ``python3 perfbench/run.py --trace 1``, with a ``KeyError``.
+
+A caller that binds a wrapped function before the patch (a default
+argument, a ``functools.partial`` built at import) fails silently
+instead: its layer counts nothing.  So one traced ``packing:4`` solve
+must still count every pass.
 """
 
 from pathlib import Path
 
+from repro.core.paper_matrices import figure_3
+from repro.solvers.registry import make_heuristic
+
 PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
 
 
-def test_every_traced_layer_installs_and_restores(monkeypatch):
+def _perfbench(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import pb_layers
     import pb_trace
+
+    return pb_layers, pb_trace
+
+
+def test_every_traced_layer_installs_and_restores(monkeypatch):
+    pb_layers, pb_trace = _perfbench(monkeypatch)
 
     tracer = pb_trace.Tracer()
     try:
@@ -27,3 +41,17 @@ def test_every_traced_layer_installs_and_restores(monkeypatch):
     assert patched
     for target, attr, original in patched:
         assert vars(target)[attr] is original
+
+
+def test_traced_packing_counts_every_pass(monkeypatch):
+    pb_layers, pb_trace = _perfbench(monkeypatch)
+    heuristic = make_heuristic("packing:4")
+    tracer = pb_trace.Tracer()
+    try:
+        pb_layers.install_solver_layers(tracer)
+        heuristic(figure_3(), 0)
+    finally:
+        tracer.restore()
+    # Four shuffled trials on the matrix and four on its transpose.
+    assert tracer.counters["packing.passes"] == 8
+    assert [span[3] for span in tracer.spans].count("packing") == 1

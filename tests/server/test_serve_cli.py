@@ -111,6 +111,34 @@ class TestGateway:
                 process.wait(timeout=10)
             process.stdout.close()
 
+    @pytest.mark.parametrize(
+        ("argv", "problem"),
+        [
+            (["--max-in-flight", "0"], "max_in_flight must be >= 1, got 0"),
+            (["--max-waiting", "-1"], "max_waiting must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_admission_limits_exit_2_without_binding(
+        self, monkeypatch, capsys, argv, problem
+    ):
+        from repro.server.gateway import SolveGateway
+
+        def run(self, **kwargs):
+            raise AssertionError("the gateway started")
+
+        monkeypatch.setattr(SolveGateway, "run", run)
+        assert main(["gateway", *argv, "--port", "0"]) == 2
+        assert f"error: {problem}" in capsys.readouterr().err
+
+    def test_given_limits_keep_the_others_defaults(self):
+        from repro.cli import _traffic_policy
+
+        args = build_parser().parse_args(["serve", "--max-waiting", "0"])
+        _, admission = _traffic_policy(args)
+        assert (admission.max_in_flight, admission.max_waiting) == (4, 0)
+        args = build_parser().parse_args(["serve"])
+        assert _traffic_policy(args) == (None, None)
+
 
 def _name(argv):
     return " ".join(argv[:2])

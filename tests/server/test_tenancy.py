@@ -46,25 +46,25 @@ class TestQuotaWindow:
     def test_unlimited_quota_never_exhausts(self):
         clock = FakeClock()
         window = QuotaWindow(None, clock=clock)
-        window.charge("a", 1e6)
+        window.charge(1e6)
         assert window.remaining() is None
         assert not window.exhausted()
 
     def test_spend_accumulates_within_window(self):
         clock = FakeClock()
         window = QuotaWindow(10.0, window_seconds=60.0, clock=clock)
-        window.charge("a", 3.0)
-        window.charge("b", 4.0)
+        window.charge(3.0)
+        window.charge(4.0)
         assert window.spent() == pytest.approx(7.0)
         assert window.remaining() == pytest.approx(3.0)
         assert not window.exhausted()
-        window.charge("c", 5.0)
+        window.charge(5.0)
         assert window.exhausted()
 
     def test_window_roll_refills_quota(self):
         clock = FakeClock()
         window = QuotaWindow(5.0, window_seconds=60.0, clock=clock)
-        window.charge("a", 5.0)
+        window.charge(5.0)
         assert window.exhausted()
         clock.advance(59.9)
         assert window.exhausted()
@@ -75,9 +75,9 @@ class TestQuotaWindow:
     def test_lifetime_totals_survive_rolls(self):
         clock = FakeClock()
         window = QuotaWindow(5.0, window_seconds=10.0, clock=clock)
-        window.charge("a", 2.0)
+        window.charge(2.0)
         clock.advance(11.0)
-        window.charge("b", 3.0)
+        window.charge(3.0)
         assert window.spent() == pytest.approx(3.0)
         assert window.lifetime_seconds == pytest.approx(5.0)
         assert window.lifetime_charges == 2
@@ -98,7 +98,7 @@ class TestQuotaWindow:
 
     def test_as_dict_shape(self):
         window = QuotaWindow(2.0, clock=FakeClock())
-        window.charge("a", 0.5)
+        window.charge(0.5)
         payload = window.as_dict()
         assert payload["quota_seconds"] == 2.0
         assert payload["window_spent"] == pytest.approx(0.5)
@@ -288,7 +288,7 @@ class TestAdmissionController:
     async def test_quota_exhaustion_rejects_with_refill_hint(self):
         admission = AdmissionController()
         tenant = _tenant("metered", quota_seconds=1.0)
-        tenant.charge("solve", 2.0)
+        tenant.charge(2.0)
         with pytest.raises(RequestRejected) as excinfo:
             await admission.admit(tenant, 10)
         assert excinfo.value.code == REJECT_QUOTA

@@ -4,7 +4,71 @@ from repro.core.binary_matrix import BinaryMatrix
 from repro.core.bounds import trivial_upper_bound
 from repro.core.paper_matrices import figure_3
 from repro.solvers.row_packing import PackingOptions, pack_rows_once
-from repro.solvers.row_packing_x import pack_rows_once_x, row_packing_x
+from repro.solvers.row_packing_x import (
+    exact_cover,
+    pack_rows_once_x,
+    row_packing_x,
+)
+
+
+def _mask(columns):
+    return sum(1 << column for column in columns)
+
+
+class TestExactCover:
+    def test_knuth_example(self):
+        """The classic 7-column example from Knuth's paper."""
+        rows = {
+            "A": [0, 3, 6],
+            "B": [0, 3],
+            "C": [3, 4, 6],
+            "D": [2, 4, 5],
+            "E": [1, 2, 5, 6],
+            "F": [1, 6],
+        }
+        names = list(rows)
+        candidates = {
+            key: _mask(rows[name]) for key, name in enumerate(names)
+        }
+        cover = exact_cover(_mask(range(7)), candidates)
+        assert cover is not None
+        assert sorted(names[key] for key in cover) == ["B", "D", "F"]
+
+    def test_no_solution(self):
+        assert exact_cover(0b11, {0: 0b01}) is None
+
+    def test_no_cover_when_candidates_overlap(self):
+        assert exact_cover(0b111, {0: 0b001, 1: 0b011}) is None
+
+    def test_no_candidates(self):
+        assert exact_cover(0b11, {}) is None
+
+    def test_empty_universe(self):
+        assert exact_cover(0, {}) == []
+
+    def test_simple_cover(self):
+        cover = exact_cover(0b1111, {0: 0b0011, 1: 0b1100, 2: 0b0110})
+        assert sorted(cover) == [0, 1]
+
+    def test_sparse_universe(self):
+        # universe with gaps: bits 0, 2, 5
+        cover = exact_cover(0b100101, {0: 0b000101, 1: 0b100000})
+        assert sorted(cover) == [0, 1]
+
+    def test_solution_covers_exactly(self):
+        candidates = {0: 0b0011, 1: 0b1100, 2: 0b0110, 3: 0b0001, 4: 0b1000}
+        cover = exact_cover(0b1111, candidates)
+        masks = [candidates[key] for key in cover]
+        assert sum(masks) == 0b1111
+        assert sum(bin(mask).count("1") for mask in masks) == 4
+
+    def test_two_covers_follow_fewest_candidates(self):
+        """Both {0, 2} and {1, 3} cover 0b1111.  Bit 0 has three
+        candidates and bit 1 two, so the search branches on bit 1 and
+        its first candidate, 1, leads to {1, 3}; branching on the lowest
+        bit would have found {0, 2} first."""
+        candidates = {0: 0b0001, 1: 0b0011, 2: 0b1110, 3: 0b1100, 4: 0b0101}
+        assert exact_cover(0b1111, candidates) == [1, 3]
 
 
 class TestPackRowsOnceX:
