@@ -46,6 +46,11 @@ class TestExactCover:
     def test_empty_universe(self):
         assert exact_cover(0, {}) == []
 
+    def test_zero_universe(self):
+        """Candidate 0 covers the whole universe and leaves it zero,
+        which ends the search with that one candidate."""
+        assert exact_cover(0b1011, {0: 0b1011, 1: 0b0001}) == [0]
+
     def test_simple_cover(self):
         cover = exact_cover(0b1111, {0: 0b0011, 1: 0b1100, 2: 0b0110})
         assert sorted(cover) == [0, 1]
