@@ -1,4 +1,4 @@
-"""Benchmarks regenerating Table I (E1 in DESIGN.md).
+"""Benchmarks regenerating Table I.
 
 Each benchmark times one heuristic column over one benchmark family and
 records the fraction of certified-optimal hits in ``extra_info`` — the

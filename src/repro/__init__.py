@@ -11,8 +11,8 @@ go from a target pattern to a verified, depth-minimized AOD schedule:
     >>> result.depth, result.proved_optimal
     (3, True)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record.
+``ROADMAP.md`` at the repository root describes the system, its
+measured baselines and its open work.
 """
 
 from repro.atoms import (

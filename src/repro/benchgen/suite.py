@@ -2,7 +2,7 @@
 
 Each suite is a list of :class:`BenchmarkCase`; the ``scale`` knob
 switches between paper-scale counts (Section IV-A) and laptop-friendly
-defaults (see DESIGN.md, "Scaling policy").
+defaults (:func:`table1_suites` lists both).
 """
 
 from __future__ import annotations

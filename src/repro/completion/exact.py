@@ -55,7 +55,6 @@ def masked_minimum_addressing(
     trials: int = 32,
     seed: RngLike = None,
     time_budget: Optional[float] = None,
-    symmetry: str = "precedence",
 ) -> MaskedOutcome:
     """SAP-style descent for the masked problem.
 
@@ -67,9 +66,7 @@ def masked_minimum_addressing(
         masked, options=PackingOptions(trials=trials, seed=seed)
     )
     lower = masked_fooling_number(masked)
-    oracle = RankDecisionOracle(
-        masked.ones_matrix, symmetry=symmetry, free=masked.free_matrix()
-    )
+    oracle = RankDecisionOracle(masked.ones_matrix, free=masked.free_matrix())
 
     def accept(partition: Partition) -> Partition:
         validate_masked_partition(masked, partition)

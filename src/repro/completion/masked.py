@@ -16,7 +16,7 @@ from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import InvalidMatrixError, InvalidPartitionError
 from repro.core.fooling import _fooling_adjacency, max_clique_mask
 from repro.core.partition import Partition
-from repro.utils.bitops import popcount
+from repro.utils.bitops import bit_indices, lowest_set_bit, popcount
 
 Cell = Tuple[int, int]
 
@@ -127,31 +127,34 @@ def validate_masked_partition(
     masked: MaskedMatrix, partition: Partition
 ) -> None:
     """Raise unless ``partition`` is a valid addressing of ``masked``:
-    1s covered exactly once, 0s never, don't-cares unconstrained."""
+    1s covered exactly once, 0s never, don't-cares unconstrained.
+
+    Each row is checked on masks of the cells covered once and twice;
+    the error names the first bad cell in row-major order.
+    """
     if partition.shape != masked.shape:
         raise InvalidPartitionError(
             f"partition shape {partition.shape} != masked shape "
             f"{masked.shape}"
         )
-    num_rows, _ = masked.shape
-    counts = [
-        [0] * masked.shape[1] for _ in range(num_rows)
-    ]
+    once = [0] * masked.shape[0]
+    twice = [0] * masked.shape[0]
     for rect in partition:
-        for i, j in rect.cells():
-            counts[i][j] += 1
-    for i in range(masked.shape[0]):
-        for j in range(masked.shape[1]):
-            value = masked.value(i, j)
-            count = counts[i][j]
-            if value == "1" and count != 1:
-                raise InvalidPartitionError(
-                    f"required cell ({i}, {j}) covered {count} times"
-                )
-            if value == "0" and count != 0:
-                raise InvalidPartitionError(
-                    f"forbidden cell ({i}, {j}) covered {count} times"
-                )
+        for i in bit_indices(rect.row_mask):
+            twice[i] |= once[i] & rect.col_mask
+            once[i] |= rect.col_mask
+    rows = zip(masked.ones_matrix.row_masks, masked.free_matrix().row_masks)
+    for i, (ones, free) in enumerate(rows):
+        bad = ones & (twice[i] | ~once[i]) | once[i] & ~free
+        if bad:
+            j = lowest_set_bit(bad)
+            count = sum(
+                r.row_mask >> i & r.col_mask >> j & 1 for r in partition
+            )
+            kind = "required" if ones >> j & 1 else "forbidden"
+            raise InvalidPartitionError(
+                f"{kind} cell ({i}, {j}) covered {count} times"
+            )
 
 
 def masked_fooling_number(masked: MaskedMatrix, *, max_cells: int = 96) -> int:

@@ -15,7 +15,8 @@ the exact search).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import random
+from typing import List, Sequence, Tuple
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.utils.bitops import bit_indices, popcount
@@ -56,9 +57,16 @@ def greedy_fooling_set(
     cells = list(matrix.ones())
     if not cells:
         return []
-    rng = ensure_rng(seed)
     adjacency = _fooling_adjacency(matrix, cells)
-    n = len(cells)
+    best_mask = _greedy_clique_mask(adjacency, trials, ensure_rng(seed))
+    return [cells[v] for v in bit_indices(best_mask)]
+
+
+def _greedy_clique_mask(
+    adjacency: List[int], trials: int, rng: random.Random
+) -> int:
+    """The largest of ``trials`` randomized greedy cliques, as a mask."""
+    n = len(adjacency)
     best_mask = 0
     for _ in range(max(1, trials)):
         order = list(range(n))
@@ -74,7 +82,7 @@ def greedy_fooling_set(
                 candidates &= ~(1 << v)
         if popcount(chosen) > popcount(best_mask):
             best_mask = chosen
-    return [cells[v] for v in bit_indices(best_mask)]
+    return best_mask
 
 
 def max_clique_mask(adjacency: List[int], *, seed_mask: int = 0) -> int:
@@ -144,13 +152,7 @@ def max_fooling_set(
     if len(cells) > max_cells:
         return greedy_fooling_set(matrix, seed=seed)
     adjacency = _fooling_adjacency(matrix, cells)
-
-    seed_clique = greedy_fooling_set(matrix, trials=8, seed=seed)
-    cell_index = {cell: v for v, cell in enumerate(cells)}
-    seed_mask = 0
-    for cell in seed_clique:
-        seed_mask |= 1 << cell_index[cell]
-
+    seed_mask = _greedy_clique_mask(adjacency, 8, ensure_rng(seed))
     best_mask = max_clique_mask(adjacency, seed_mask=seed_mask)
     return [cells[v] for v in bit_indices(best_mask)]
 

@@ -1,11 +1,10 @@
-"""From-scratch SAT solving substrate (the z3 stand-in, see DESIGN.md)."""
+"""From-scratch SAT solving substrate: it stands in for the paper's z3
+(see :mod:`repro.sat.solver`)."""
 
 from repro.sat.brute import brute_force_count, brute_force_model
 from repro.sat.cardinality import (
     at_least_one,
-    at_most_k_sequential,
     at_most_one,
-    at_most_one_commander,
     at_most_one_pairwise,
     at_most_one_sequential,
     exactly_one,
@@ -39,9 +38,7 @@ __all__ = [
     "SolveStatus",
     "SolverStats",
     "at_least_one",
-    "at_most_k_sequential",
     "at_most_one",
-    "at_most_one_commander",
     "at_most_one_pairwise",
     "at_most_one_sequential",
     "brute_force_count",

@@ -1,14 +1,14 @@
 """Cardinality constraint encodings.
 
 The EBMF encoder needs exactly-one constraints (each 1-cell belongs to
-exactly one rectangle).  Three at-most-one encodings are provided; the
-sequential (ladder) encoding is the default for larger groups, pairwise
-for small ones.
+exactly one rectangle).  Its at-most-one follows one size rule: the
+pairwise encoding up to six literals, Sinz's sequential (ladder)
+encoding above.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.core.exceptions import EncodingError
 from repro.sat.formula import ClauseSink
@@ -44,89 +44,15 @@ def at_most_one_sequential(sink: ClauseSink, literals: Sequence[int]) -> None:
     sink.add_clause([-literals[n - 1], -registers[n - 2]])
 
 
-def at_most_one_commander(
-    sink: ClauseSink, literals: Sequence[int], *, group_size: int = 3
-) -> None:
-    """Commander encoding: recursive grouping with commander variables."""
-    if group_size < 2:
-        raise EncodingError("commander group size must be >= 2")
+def at_most_one(sink: ClauseSink, literals: Sequence[int]) -> None:
+    """Pairwise up to six literals, sequential above."""
     literals = list(literals)
-    if len(literals) <= group_size + 1:
+    if len(literals) <= 6:
         at_most_one_pairwise(sink, literals)
-        return
-    commanders: List[int] = []
-    for start in range(0, len(literals), group_size):
-        group = literals[start : start + group_size]
-        if len(group) == 1:
-            commanders.append(group[0])
-            continue
-        commander = sink.new_var()
-        commanders.append(commander)
-        at_most_one_pairwise(sink, group)
-        # commander is true iff some group member is true (-> suffices
-        # for at-most-one; <- keeps the commander meaningful).
-        for lit in group:
-            sink.add_clause([-lit, commander])
-        sink.add_clause([-commander] + group)
-    at_most_one_commander(sink, commanders, group_size=group_size)
-
-
-def at_most_one(
-    sink: ClauseSink,
-    literals: Sequence[int],
-    *,
-    encoding: str = "auto",
-) -> None:
-    """Dispatch on ``encoding``: pairwise | sequential | commander | auto."""
-    literals = list(literals)
-    if len(literals) <= 1:
-        return
-    if encoding == "auto":
-        encoding = "pairwise" if len(literals) <= 6 else "sequential"
-    if encoding == "pairwise":
-        at_most_one_pairwise(sink, literals)
-    elif encoding == "sequential":
-        at_most_one_sequential(sink, literals)
-    elif encoding == "commander":
-        at_most_one_commander(sink, literals)
     else:
-        raise EncodingError(f"unknown at-most-one encoding {encoding!r}")
+        at_most_one_sequential(sink, literals)
 
 
-def exactly_one(
-    sink: ClauseSink,
-    literals: Sequence[int],
-    *,
-    encoding: str = "auto",
-) -> None:
+def exactly_one(sink: ClauseSink, literals: Sequence[int]) -> None:
     at_least_one(sink, literals)
-    at_most_one(sink, literals, encoding=encoding)
-
-
-def at_most_k_sequential(
-    sink: ClauseSink, literals: Sequence[int], k: int
-) -> None:
-    """Sinz's sequential counter generalized to at-most-k."""
-    n = len(literals)
-    if k < 0:
-        raise EncodingError(f"k must be >= 0, got {k}")
-    if k == 0:
-        for lit in literals:
-            sink.add_clause([-lit])
-        return
-    if n <= k:
-        return
-    # registers[i][j]: among literals[0..i], at least j+1 are true.
-    registers = [[sink.new_var() for _ in range(k)] for _ in range(n)]
-    sink.add_clause([-literals[0], registers[0][0]])
-    for j in range(1, k):
-        sink.add_clause([-registers[0][j]])
-    for i in range(1, n):
-        sink.add_clause([-literals[i], registers[i][0]])
-        sink.add_clause([-registers[i - 1][0], registers[i][0]])
-        for j in range(1, k):
-            sink.add_clause(
-                [-literals[i], -registers[i - 1][j - 1], registers[i][j]]
-            )
-            sink.add_clause([-registers[i - 1][j], registers[i][j]])
-        sink.add_clause([-literals[i], -registers[i - 1][k - 1]])
+    at_most_one(sink, literals)

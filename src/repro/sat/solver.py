@@ -1,10 +1,10 @@
 """A CDCL SAT solver in pure Python.
 
-This is the stand-in for z3 in the paper's toolchain (DESIGN.md,
-substitution table): SAP only needs a complete decision oracle for the
-CNF-encoded question ``r_B(M) <= b``, solved repeatedly with added
-narrowing clauses, so the solver supports incremental use — clauses may
-be added between ``solve`` calls and learned clauses are kept.
+This stands in for z3, the SMT solver of the paper's toolchain: SAP
+only needs a complete decision oracle for the CNF-encoded question
+``r_B(M) <= b``, solved repeatedly with added narrowing clauses, so the
+solver supports incremental use — clauses may be added between
+``solve`` calls and learned clauses are kept.
 
 Implemented techniques (MiniSat lineage):
 

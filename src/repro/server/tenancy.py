@@ -399,8 +399,14 @@ class AdmissionController:
                 self._waiters, (priority, next(self._seq), future)
             )
             # Cancellation (client gone while queued) leaves the future
-            # in the heap; release() skips done/cancelled entries.
-            await future
+            # in the heap; release() skips done/cancelled entries.  One
+            # that lands after release() handed us the slot passes it on.
+            try:
+                await future
+            except asyncio.CancelledError:
+                if future.done() and not future.cancelled():
+                    self._hand_off()
+                raise
         else:
             self._active += 1
         tenant.in_flight += 1
@@ -416,7 +422,10 @@ class AdmissionController:
             self._service_ewma += 0.2 * (
                 service_seconds - self._service_ewma
             )
-        # Hand the freed slot straight to the best live waiter.
+        self._hand_off()
+
+    def _hand_off(self) -> None:
+        """Hand a freed slot straight to the best live waiter, or free it."""
         while self._waiters:
             _, _, future = heapq.heappop(self._waiters)
             if not future.done():

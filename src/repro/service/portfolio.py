@@ -82,10 +82,14 @@ def validate_members(members: Sequence[str]) -> None:
     if not members:
         raise SolverError("portfolio needs at least one member")
     for name in members:
-        if is_exact_member(name):
-            _parse_trials(name, 32)
-        else:
+        if not is_exact_member(name):
             make_heuristic(name)
+        elif name.startswith("branch_bound:"):
+            raise SolverError(
+                f"member spec {name!r}: branch_bound takes no trial count"
+            )
+        else:
+            _parse_trials(name, 32)
 
 
 def member_seed(root_seed: Optional[int], name: str) -> Optional[int]:

@@ -17,8 +17,9 @@ label classes are therefore rectangles, pairwise disjoint, covering all
 Two encodings are provided:
 
 * :class:`DirectEncoder` — one boolean ``x[e, k]`` per cell/label
-  ("one-hot"), with exactly-one constraints per cell and optional
-  precedence symmetry breaking.  Default; strongest for UNSAT proofs.
+  ("one-hot"), with exactly-one constraints per cell (at-most-one
+  pairwise up to six labels, sequential above) and optional precedence
+  symmetry breaking.  Default; strongest for UNSAT proofs.
 * :class:`BinaryLabelEncoder` — per-cell bit-vector labels with Tseitin
   equality gates, mirroring the paper's bit-vector formulation.
 
@@ -112,7 +113,58 @@ def _cell_pairs_constraints(
                         yield ("closure", a, b, index[(x, y)])
 
 
-class DirectEncoder:
+class _LabelEncoder:
+    """What the two label encoders share.  A subclass sets ``cells``,
+    builds its formula and supplies ``decode`` and ``narrow_to``."""
+
+    cells: List[Cell]
+
+    def __init__(
+        self, matrix: BinaryMatrix, bound: int, proof: Optional[ProofLog]
+    ) -> None:
+        if bound < 0:
+            raise EncodingError(f"bound must be >= 0, got {bound}")
+        self.matrix = matrix
+        self.bound = bound
+        self.solver = CdclSolver(proof=proof)
+
+    def _needs_clauses(self, bound: int) -> bool:
+        """Check a bound no wider than the current one.  False when no
+        clause is needed: a zero matrix meets every bound, and no other
+        matrix meets bound 0."""
+        if bound > self.bound:
+            raise EncodingError(
+                f"cannot widen from {self.bound} to {bound}; re-encode instead"
+            )
+        if bound < 0:
+            raise EncodingError(f"bound must be >= 0, got {bound}")
+        return bool(self.cells) and bound > 0
+
+    def solve(
+        self,
+        *,
+        assumptions: Sequence[int] = (),
+        conflict_budget: Optional[int] = None,
+        time_budget: Optional[float] = None,
+    ) -> SolveStatus:
+        if not self.cells:
+            return SolveStatus.SAT
+        if self.bound == 0:
+            return SolveStatus.UNSAT
+        return self.solver.solve(
+            assumptions,
+            conflict_budget=conflict_budget,
+            time_budget=time_budget,
+        )
+
+    def extract_partition(self) -> Partition:
+        """Decode the last SAT model into a validated partition."""
+        partition = self.decode()
+        partition.validate(self.matrix)
+        return partition
+
+
+class DirectEncoder(_LabelEncoder):
     """One-hot label encoding of ``r_B(M) <= bound``.
 
     Variables ``x[t][k]`` mean "1-cell number ``t`` belongs to rectangle
@@ -147,34 +199,21 @@ class DirectEncoder:
         bound: int,
         *,
         symmetry: str = "precedence",
-        amo_encoding: str = "auto",
         proof: Optional[ProofLog] = None,
         indicators: bool = False,
         free: Optional[BinaryMatrix] = None,
         cover: bool = False,
         first: Sequence[Cell] = (),
     ) -> None:
-        if bound < 0:
-            raise EncodingError(f"bound must be >= 0, got {bound}")
+        super().__init__(matrix, bound, proof)
         if symmetry not in SYMMETRY_MODES:
             raise EncodingError(
                 f"unknown symmetry mode {symmetry!r}; "
                 f"expected one of {SYMMETRY_MODES}"
             )
-        self.matrix = matrix
-        self.cells: List[Cell] = _cell_order(matrix, first)
-        self.bound = bound
-        self.symmetry = symmetry
-        self.proof = proof
-        self.solver = CdclSolver(proof=proof)
-        self._trivially_unsat = False
+        self.cells = _cell_order(matrix, first)
         self._use: List[int] = []
-
-        if not self.cells:
-            # Zero matrix: any bound >= 0 works.
-            return
-        if bound == 0:
-            self._trivially_unsat = True
+        if not self._needs_clauses(bound):
             return
 
         num_cells = len(self.cells)
@@ -204,7 +243,7 @@ class DirectEncoder:
             if cover:
                 at_least_one(self.solver, usable)
             else:
-                exactly_one(self.solver, usable, encoding=amo_encoding)
+                exactly_one(self.solver, usable)
 
         if symmetry == "precedence":
             # x[t][k] -> OR_{s<t} x[s][k-1]: label k may only be opened
@@ -261,40 +300,11 @@ class DirectEncoder:
 
     def narrow_to(self, bound: int) -> None:
         """Forbid labels >= ``bound`` (the paper's ``f(e) != b`` clauses)."""
-        if bound > self.bound:
-            raise EncodingError(
-                f"cannot widen from {self.bound} to {bound}; re-encode instead"
-            )
-        if bound < 0:
-            raise EncodingError(f"bound must be >= 0, got {bound}")
-        if not self.cells:
-            self.bound = bound
-            return
-        if bound == 0:
-            self._trivially_unsat = True
-            self.bound = 0
-            return
-        for t in range(len(self.cells)):
-            for k in range(bound, self.bound):
-                self.solver.add_clause([-self._vars[t][k]])
+        if self._needs_clauses(bound):
+            for t in range(len(self.cells)):
+                for k in range(bound, self.bound):
+                    self.solver.add_clause([-self._vars[t][k]])
         self.bound = bound
-
-    def solve(
-        self,
-        *,
-        assumptions: Sequence[int] = (),
-        conflict_budget: Optional[int] = None,
-        time_budget: Optional[float] = None,
-    ) -> SolveStatus:
-        if not self.cells:
-            return SolveStatus.SAT
-        if self._trivially_unsat:
-            return SolveStatus.UNSAT
-        return self.solver.solve(
-            assumptions,
-            conflict_budget=conflict_budget,
-            time_budget=time_budget,
-        )
 
     def decode(self) -> Partition:
         """The last SAT model's rectangles, one per label in label order,
@@ -315,14 +325,8 @@ class DirectEncoder:
         ]
         return Partition(rects, self.matrix.shape)
 
-    def extract_partition(self) -> Partition:
-        """Decode the last SAT model into a validated partition."""
-        partition = self.decode()
-        partition.validate(self.matrix)
-        return partition
 
-
-class BinaryLabelEncoder:
+class BinaryLabelEncoder(_LabelEncoder):
     """Bit-vector label encoding of ``r_B(M) <= bound``.
 
     Each 1-cell carries a ``ceil(log2(bound))``-wide label; rectangle
@@ -338,19 +342,9 @@ class BinaryLabelEncoder:
         *,
         proof: Optional[ProofLog] = None,
     ) -> None:
-        if bound < 0:
-            raise EncodingError(f"bound must be >= 0, got {bound}")
-        self.matrix = matrix
-        self.cells: List[Cell] = list(matrix.ones())
-        self.bound = bound
-        self.proof = proof
-        self.solver = CdclSolver(proof=proof)
-        self._trivially_unsat = False
-
-        if not self.cells:
-            return
-        if bound == 0:
-            self._trivially_unsat = True
+        super().__init__(matrix, bound, proof)
+        self.cells = list(matrix.ones())
+        if not self._needs_clauses(bound):
             return
 
         self.width = max(1, (bound - 1).bit_length())
@@ -381,39 +375,11 @@ class BinaryLabelEncoder:
         return cached
 
     def narrow_to(self, bound: int) -> None:
-        if bound > self.bound:
-            raise EncodingError(
-                f"cannot widen from {self.bound} to {bound}; re-encode instead"
-            )
-        if bound < 0:
-            raise EncodingError(f"bound must be >= 0, got {bound}")
-        if not self.cells:
-            self.bound = bound
-            return
-        if bound == 0:
-            self._trivially_unsat = True
-            self.bound = 0
-            return
-        for bits in self._labels:
-            encode_less_than_constant(self.solver, bits, bound)
+        """Add ``label < bound`` range clauses."""
+        if self._needs_clauses(bound):
+            for bits in self._labels:
+                encode_less_than_constant(self.solver, bits, bound)
         self.bound = bound
-
-    def solve(
-        self,
-        *,
-        assumptions: Sequence[int] = (),
-        conflict_budget: Optional[int] = None,
-        time_budget: Optional[float] = None,
-    ) -> SolveStatus:
-        if not self.cells:
-            return SolveStatus.SAT
-        if self._trivially_unsat:
-            return SolveStatus.UNSAT
-        return self.solver.solve(
-            assumptions,
-            conflict_budget=conflict_budget,
-            time_budget=time_budget,
-        )
 
     def decode(self) -> Partition:
         """The last SAT model's rectangles (not validated)."""
@@ -426,12 +392,6 @@ class BinaryLabelEncoder:
             labels[cell] = value
         return Partition.from_assignment(self.matrix, labels)
 
-    def extract_partition(self) -> Partition:
-        """Decode the last SAT model into a validated partition."""
-        partition = self.decode()
-        partition.validate(self.matrix)
-        return partition
-
 
 def make_encoder(
     matrix: BinaryMatrix,
@@ -439,7 +399,6 @@ def make_encoder(
     *,
     encoding: str = "direct",
     symmetry: str = "precedence",
-    amo_encoding: str = "auto",
     proof: Optional[ProofLog] = None,
     indicators: bool = False,
     free: Optional[BinaryMatrix] = None,
@@ -452,7 +411,6 @@ def make_encoder(
             matrix,
             bound,
             symmetry=symmetry,
-            amo_encoding=amo_encoding,
             proof=proof,
             indicators=indicators,
             free=free,

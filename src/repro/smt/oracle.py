@@ -48,30 +48,31 @@ class OracleQuery:
 class RankDecisionOracle:
     """Answers a sequence of ``r_B(M) <= b`` questions.
 
-    Parameters mirror :func:`repro.smt.encoder.make_encoder`; with
-    ``incremental=False`` every query rebuilds a fresh solver (ablation
-    A2 compares the two modes).  ``proof=True`` attaches a clausal proof
-    log to each underlying solver so UNSAT answers can be audited with
-    :func:`repro.sat.proof.check_refutation` (narrow mode only — an
-    assumption-mode UNSAT is conditional, not a refutation).  ``free``
-    and ``cover`` pass through to the encoder and turn the question
-    into binary matrix completion or the minimum rectangle cover;
-    ``first`` passes through too and orders the encoder's cells.
+    Parameters mirror :func:`repro.smt.encoder.make_encoder`, which the
+    oracle calls with its default, precedence symmetry breaking; each
+    cell's at-most-one is pairwise up to six labels, sequential above.
+    With ``incremental=False`` every query rebuilds a fresh solver
+    (ablation A2 compares the two modes).  ``proof=True`` attaches a
+    clausal proof log to each underlying solver so UNSAT answers can be
+    audited with :func:`repro.sat.proof.check_refutation` (narrow mode
+    only — an assumption-mode UNSAT is conditional, not a refutation).
+    ``free`` and ``cover`` pass through to the encoder and turn the
+    question into binary matrix completion or the minimum rectangle
+    cover; ``first`` passes through too and orders the encoder's cells.
+    ``queries``, ``proof_log`` and the encoder are state, not options.
     """
 
     matrix: BinaryMatrix
     encoding: str = "direct"
-    symmetry: str = "precedence"
-    amo_encoding: str = "auto"
     incremental: bool = True
     query_mode: str = "narrow"
     proof: bool = False
     free: Optional[BinaryMatrix] = None
     cover: bool = False
     first: Sequence[Cell] = ()
-    queries: List[OracleQuery] = field(default_factory=list)
-    proof_log: Optional[ProofLog] = None
-    _encoder: Optional[object] = None
+    queries: List[OracleQuery] = field(default_factory=list, init=False)
+    proof_log: Optional[ProofLog] = field(default=None, init=False)
+    _encoder: Optional[object] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.query_mode not in QUERY_MODES:
@@ -164,8 +165,6 @@ class RankDecisionOracle:
             self.matrix,
             bound,
             encoding=self.encoding,
-            symmetry=self.symmetry,
-            amo_encoding=self.amo_encoding,
             proof=self.proof_log,
             indicators=self.query_mode == "assumption",
             free=self.free,

@@ -174,8 +174,9 @@ def best_of_trials(
     """The shallowest of ``pass_once(side, x)`` for ``x`` in ``inputs(side)``.
 
     The sides are ``matrix`` and, with ``use_transpose``, its transpose,
-    whose partitions are transposed back.  A later partition replaces
-    the best only when strictly shallower, and ``validate(matrix, best)``
+    whose partitions are transposed back; transposing keeps the depth,
+    so only a new best is transposed.  A later partition replaces the
+    best only when strictly shallower, and ``validate(matrix, best)``
     checks the one returned.
     """
     sides = [(matrix, False)]
@@ -185,10 +186,8 @@ def best_of_trials(
     for side, transposed in sides:
         for item in inputs(side):
             partition = pass_once(side, item)
-            if transposed:
-                partition = partition.transpose()
             if best is None or partition.depth < best.depth:
-                best = partition
+                best = partition.transpose() if transposed else partition
     assert best is not None
     validate(matrix, best)
     return best

@@ -72,17 +72,33 @@ class SapOptions:
     raises the lower bound, and the direct encoding numbers its cells
     first.  ``False`` is the paper's formula: the Eq. 3 bound alone and
     the 1-cells in row-major order.
+
+    The formula itself is fixed: precedence symmetry breaking, and each
+    cell's at-most-one pairwise up to six labels, sequential above.
+    Besides ``trials``, ``seed`` and ``time_budget``, the options and
+    who sets them:
+
+    * ``encoding`` — ``"binary"`` is the paper's bit-vector formula,
+      which ``tests/integration/test_cross_solver.py`` compares with the
+      direct one;
+    * ``incremental`` and ``reduce`` —
+      ``benchmarks/bench_ablation_encoding.py``;
+    * ``descent`` and ``packing`` — ablation A8
+      (:mod:`repro.experiments.ablation`);
+    * ``use_fooling_bound`` — the ``sap`` and ``sap_paper`` portfolio
+      members;
+    * ``cancel`` — the portfolio, to stop a member;
+    * ``conflict_budget_per_query`` — no caller yet: it is kept for
+      measuring the exact frontier past 10×10 at a fixed conflict
+      budget per query (ROADMAP, "Move the exact frontier").
     """
 
     trials: int = 100
     seed: RngLike = None
     encoding: str = "direct"
-    symmetry: str = "precedence"
-    amo_encoding: str = "auto"
     incremental: bool = True
     reduce: bool = True
     use_fooling_bound: bool = True
-    use_lp_bound: bool = False
     descent: str = "linear"
     time_budget: Optional[float] = None
     conflict_budget_per_query: Optional[int] = None
@@ -166,14 +182,9 @@ def sap_solve(
         best = row_packing(matrix, options=options.packing_options())
     heuristic_depth = best.depth
 
-    # Eq. 3 lower bound (optionally strengthened by the fractional-cover
-    # LP).
+    # Eq. 3 lower bound.
     with watch.time("bounds"):
         lower = rank_lower_bound(matrix)
-        if options.use_lp_bound:
-            from repro.cover.lp import lp_lower_bound
-
-            lower = max(lower, lp_lower_bound(matrix))
 
     # Solve on the compressed matrix; lift models back.  Identical rows
     # or columns cannot both hold a fooling cell, so the compressed
@@ -211,8 +222,6 @@ def sap_solve(
     oracle = RankDecisionOracle(
         smt_matrix,
         encoding=options.encoding,
-        symmetry=options.symmetry,
-        amo_encoding=options.amo_encoding,
         incremental=incremental,
         query_mode=query_mode,
         first=fooling if options.encoding == "direct" else (),

@@ -1,7 +1,10 @@
 """Unit tests for masked (don't-care) matrices."""
 
+import random
+
 import pytest
 
+from repro.completion.heuristic import masked_pack_rows_once
 from repro.completion.masked import (
     MaskedMatrix,
     masked_fooling_number,
@@ -97,6 +100,87 @@ class TestValidation:
             validate_masked_partition(
                 m, Partition([Rectangle.single(0, 0)], (2, 2))
             )
+
+
+def _validate_by_cells(masked, partition):
+    """The per-cell cover check that the row-mask one must agree with."""
+    counts = [[0] * masked.shape[1] for _ in range(masked.shape[0])]
+    for rect in partition:
+        for i, j in rect.cells():
+            counts[i][j] += 1
+    for i in range(masked.shape[0]):
+        for j in range(masked.shape[1]):
+            value = masked.value(i, j)
+            count = counts[i][j]
+            if value == "1" and count != 1:
+                raise InvalidPartitionError(
+                    f"required cell ({i}, {j}) covered {count} times"
+                )
+            if value == "0" and count != 0:
+                raise InvalidPartitionError(
+                    f"forbidden cell ({i}, {j}) covered {count} times"
+                )
+
+
+def _verdict(check, masked, partition):
+    try:
+        check(masked, partition)
+    except InvalidPartitionError as exc:
+        return str(exc)
+    return None
+
+
+def _random_masked(rng):
+    rows, cols = rng.randint(1, 7), rng.randint(1, 8)
+    lines = [
+        "".join(rng.choice("0011*") for _ in range(cols)) for _ in range(rows)
+    ]
+    return MaskedMatrix.from_strings(lines)
+
+
+def _random_rectangle(rng, shape):
+    rows, cols = shape
+    return Rectangle(
+        rng.randrange(1, 1 << rows), rng.randrange(1, 1 << cols)
+    )
+
+
+class TestAgainstCellLoop:
+    """The row-mask check gives the per-cell check's verdict and message."""
+
+    def test_valid_and_perturbed_packings(self):
+        rng = random.Random(2027)
+        valid = 0
+        for _ in range(300):
+            masked = _random_masked(rng)
+            order = list(range(masked.shape[0]))
+            rng.shuffle(order)
+            packed = list(masked_pack_rows_once(masked, order))
+            candidates = [packed]
+            if packed:
+                candidates.append(packed[1:])
+                candidates.append(packed + [rng.choice(packed)])
+            candidates.append(packed + [_random_rectangle(rng, masked.shape)])
+            for rects in candidates:
+                partition = Partition(rects, masked.shape)
+                expected = _verdict(_validate_by_cells, masked, partition)
+                got = _verdict(validate_masked_partition, masked, partition)
+                assert got == expected
+                valid += expected is None
+        assert valid >= 300
+
+    def test_random_rectangles(self):
+        rng = random.Random(2028)
+        for _ in range(500):
+            masked = _random_masked(rng)
+            rects = [
+                _random_rectangle(rng, masked.shape)
+                for _ in range(rng.randint(0, 4))
+            ]
+            partition = Partition(rects, masked.shape)
+            assert _verdict(
+                validate_masked_partition, masked, partition
+            ) == _verdict(_validate_by_cells, masked, partition)
 
 
 class TestMaskedFooling:

@@ -1,7 +1,10 @@
 """Unit tests for fooling sets and the max-clique core."""
 
+import random
+
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.fooling import (
+    _fooling_adjacency,
     fooling_number,
     greedy_fooling_set,
     is_fooling_pair,
@@ -10,6 +13,7 @@ from repro.core.fooling import (
     verify_fooling_set,
 )
 from repro.core.paper_matrices import equation_2, figure_1b
+from repro.utils.bitops import bit_indices
 
 
 class TestIsFoolingPair:
@@ -82,6 +86,28 @@ class TestFoolingSets:
         cells = max_fooling_set(m, seed=0)
         assert verify_fooling_set(m, cells)
         assert len(cells) >= len(greedy_fooling_set(m, trials=4, seed=0))
+
+    def test_exact_search_starts_from_the_greedy_set(self):
+        """The exact search is primed with the 8-trial greedy set, drawn
+        from the generator exactly as greedy_fooling_set draws it."""
+        rng = random.Random(7)
+        for _ in range(80):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            m = BinaryMatrix(
+                [rng.getrandbits(cols) for _ in range(rows)], cols
+            )
+            cells = list(m.ones())
+            before = rng.getstate()
+            greedy = greedy_fooling_set(m, trials=8, seed=rng)
+            after = rng.getstate()
+            rng.setstate(before)
+            exact = max_fooling_set(m, seed=rng)
+            assert rng.getstate() == after
+            seed_mask = sum(1 << cells.index(cell) for cell in greedy)
+            best = max_clique_mask(
+                _fooling_adjacency(m, cells), seed_mask=seed_mask
+            )
+            assert exact == [cells[v] for v in bit_indices(best)]
 
     def test_greedy_fallback_for_large_matrices(self):
         m = BinaryMatrix.identity(12)

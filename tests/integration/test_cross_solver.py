@@ -67,19 +67,3 @@ class TestEncodingsAgree:
             )
             assert direct.proved_optimal and binary.proved_optimal
             assert direct.depth == binary.depth
-
-    def test_symmetry_modes_agree_on_random(self, rng):
-        for _ in range(10):
-            rows, cols = rng.randint(2, 4), rng.randint(2, 4)
-            m = BinaryMatrix(
-                [rng.getrandbits(cols) for _ in range(rows)], cols
-            )
-            depths = set()
-            for symmetry in ("none", "restricted", "precedence"):
-                result = sap_solve(
-                    m,
-                    options=SapOptions(trials=4, seed=0, symmetry=symmetry),
-                )
-                assert result.proved_optimal
-                depths.add(result.depth)
-            assert len(depths) == 1

@@ -9,12 +9,15 @@ under ``python3 perfbench/run.py --trace 1``, with a ``KeyError``.
 A caller that binds a wrapped function before the patch (a default
 argument, a ``functools.partial`` built at import) fails silently
 instead: its layer counts nothing.  So one traced ``packing:4`` solve
-must still count every pass.
+must still count every pass, and one traced oracle descent must still
+count its encoder build and its narrowing.
 """
 
 from pathlib import Path
 
-from repro.core.paper_matrices import figure_3
+from repro.core.paper_matrices import figure_1b, figure_3
+from repro.sat.solver import SolveStatus
+from repro.smt.oracle import RankDecisionOracle
 from repro.solvers.registry import make_heuristic
 
 PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
@@ -55,3 +58,20 @@ def test_traced_packing_counts_every_pass(monkeypatch):
     # Four shuffled trials on the matrix and four on its transpose.
     assert tracer.counters["packing.passes"] == 8
     assert [span[3] for span in tracer.spans].count("packing") == 1
+
+
+def test_traced_oracle_counts_the_build_and_the_narrowing(monkeypatch):
+    pb_layers, pb_trace = _perfbench(monkeypatch)
+    tracer = pb_trace.Tracer()
+    try:
+        pb_layers.install_solver_layers(tracer)
+        oracle = RankDecisionOracle(figure_1b())
+        assert oracle.check_at_most(6)[0] is SolveStatus.SAT
+        assert oracle.check_at_most(4)[0] is SolveStatus.UNSAT
+    finally:
+        tracer.restore()
+    names = [span[3] for span in tracer.spans]
+    # make_encoder at bound 6, then DirectEncoder.narrow_to(4).
+    assert names.count("encode") == 2
+    assert names.count("oracle") == 2
+    assert tracer.counters["encode.vars"] > 0

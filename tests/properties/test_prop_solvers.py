@@ -1,5 +1,7 @@
-"""Property-based tests for solver invariants (the paper's Section 7
-invariants list in DESIGN.md)."""
+"""Property-based tests for solver invariants: heuristics return valid
+partitions, SAP's answer lies in its bracket and matches branch and
+bound, the fooling number bounds r_B from below, and r_B survives
+transposition and is submultiplicative under tensor products."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st

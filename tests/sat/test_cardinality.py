@@ -1,6 +1,4 @@
-"""Unit tests for cardinality encodings (exactly-one, at-most-k)."""
-
-import itertools
+"""Unit tests for cardinality encodings (at-most-one, exactly-one)."""
 
 import pytest
 
@@ -8,9 +6,7 @@ from repro.core.exceptions import EncodingError
 from repro.sat.brute import brute_force_count
 from repro.sat.cardinality import (
     at_least_one,
-    at_most_k_sequential,
     at_most_one,
-    at_most_one_commander,
     at_most_one_pairwise,
     at_most_one_sequential,
     exactly_one,
@@ -40,8 +36,8 @@ def count_models_projected(formula: CnfFormula, num_original: int) -> int:
 
 @pytest.mark.parametrize(
     "encoder",
-    [at_most_one_pairwise, at_most_one_sequential, at_most_one_commander],
-    ids=["pairwise", "sequential", "commander"],
+    [at_most_one_pairwise, at_most_one_sequential],
+    ids=["pairwise", "sequential"],
 )
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_at_most_one_model_count(encoder, n):
@@ -52,13 +48,40 @@ def test_at_most_one_model_count(encoder, n):
     assert count_models_projected(formula, n) == n + 1
 
 
-@pytest.mark.parametrize("encoding", ["pairwise", "sequential", "commander", "auto"])
+def _exactly_one_with(at_most):
+    def encode(sink, literals):
+        at_least_one(sink, literals)
+        at_most(sink, literals)
+
+    return encode
+
+
+# "auto" is exactly_one itself: pairwise up to six literals, sequential
+# above, so the sizes lie on both sides of the boundary.
+@pytest.mark.parametrize(
+    "encoding",
+    [
+        _exactly_one_with(at_most_one_pairwise),
+        _exactly_one_with(at_most_one_sequential),
+        exactly_one,
+    ],
+    ids=["pairwise", "sequential", "auto"],
+)
 @pytest.mark.parametrize("n", [1, 2, 4, 7])
 def test_exactly_one_model_count(encoding, n):
     formula = CnfFormula()
     lits = formula.new_vars(n)
-    exactly_one(formula, lits, encoding=encoding)
+    encoding(formula, lits)
     assert count_models_projected(formula, n) == n
+
+
+@pytest.mark.parametrize("n,clauses,aux", [(6, 15, 0), (7, 17, 6)])
+def test_at_most_one_size_rule(n, clauses, aux):
+    """Pairwise up to six literals, the sequential ladder above."""
+    formula = CnfFormula()
+    lits = formula.new_vars(n)
+    at_most_one(formula, lits)
+    assert (len(formula.clauses), formula.num_vars - n) == (clauses, aux)
 
 
 def test_at_least_one_empty_rejected():
@@ -66,49 +89,14 @@ def test_at_least_one_empty_rejected():
         at_least_one(CnfFormula(), [])
 
 
-def test_at_most_one_unknown_encoding():
-    formula = CnfFormula()
-    lits = formula.new_vars(3)
-    with pytest.raises(EncodingError):
-        at_most_one(formula, lits, encoding="nope")
-
-
-def test_commander_bad_group_size():
-    formula = CnfFormula()
-    lits = formula.new_vars(3)
-    with pytest.raises(EncodingError):
-        at_most_one_commander(formula, lits, group_size=1)
-
-
 def test_at_most_one_with_negated_literals():
     formula = CnfFormula()
     a, b = formula.new_vars(2)
-    at_most_one(formula, [-a, -b], encoding="pairwise")
+    at_most_one(formula, [-a, -b])
     # at most one of {~a, ~b} true -> at least one of {a, b} true
     solver = CdclSolver.from_formula(formula)
     assert solver.solve([-a, -b]) is SolveStatus.UNSAT
     assert solver.solve([a, -b]) is SolveStatus.SAT
-
-
-@pytest.mark.parametrize("n,k", [(4, 2), (5, 1), (5, 3), (3, 0), (4, 4)])
-def test_at_most_k_sequential(n, k):
-    formula = CnfFormula()
-    lits = formula.new_vars(n)
-    at_most_k_sequential(formula, lits, k)
-    projections = count_models_projected(formula, n)
-    expected = sum(
-        1
-        for bits in itertools.product([0, 1], repeat=n)
-        if sum(bits) <= k
-    )
-    assert projections == expected
-
-
-def test_at_most_k_negative_rejected():
-    formula = CnfFormula()
-    lits = formula.new_vars(2)
-    with pytest.raises(EncodingError):
-        at_most_k_sequential(formula, lits, -1)
 
 
 def test_brute_force_count_agrees_for_pairwise():

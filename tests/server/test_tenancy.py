@@ -324,6 +324,36 @@ class TestAdmissionController:
         assert admission.snapshot()["active"] == 0
         await admission.admit(tenant, 10)
 
+    async def test_waiter_cancelled_after_hand_off_passes_the_slot_on(self):
+        admission = AdmissionController(max_in_flight=1, max_waiting=2)
+        tenant = _tenant()
+        await admission.admit(tenant, 10)
+        waiter = asyncio.create_task(admission.admit(tenant, 10))
+        await asyncio.sleep(0)
+        # release() hands the slot to the parked waiter; the waiter is
+        # cancelled before it resumes, so it never takes the slot.
+        admission.release(tenant, 0.01)
+        waiter.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await waiter
+        assert admission.snapshot()["active"] == 0
+        assert tenant.in_flight == 0
+        await asyncio.wait_for(admission.admit(tenant, 10), timeout=0.5)
+
+    async def test_cancelled_hand_off_goes_to_the_next_waiter(self):
+        admission = AdmissionController(max_in_flight=1, max_waiting=2)
+        tenant = _tenant()
+        await admission.admit(tenant, 10)
+        first = asyncio.create_task(admission.admit(tenant, 1))
+        second = asyncio.create_task(admission.admit(tenant, 2))
+        await asyncio.sleep(0)
+        admission.release(tenant, 0.01)
+        first.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await first
+        await asyncio.wait_for(second, timeout=0.5)
+        assert admission.snapshot()["active"] == 1
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(SolverError):
             AdmissionController(max_in_flight=0)

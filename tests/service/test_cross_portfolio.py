@@ -8,6 +8,7 @@ depth, and every heuristic must land at or above it.
 
 import pytest
 
+from repro.core.exceptions import SolverError
 from repro.core.paper_matrices import (
     equation_2,
     figure_1b,
@@ -20,6 +21,7 @@ from repro.service.portfolio import (
     run_member,
     member_seed,
     solve_portfolio,
+    validate_members,
 )
 from tests.conftest import SERVICE_SEED
 
@@ -159,11 +161,15 @@ class TestProvenance:
         assert result.member("packing:8").skipped
 
     def test_malformed_member_specs_fail_fast(self):
-        from repro.core.exceptions import SolverError
-
         for bad in (("magic:3",), ("packing:0", "sap"), (), ("trivial", "")):
             with pytest.raises(SolverError):
                 solve_portfolio(figure_3(), members=bad, seed=SERVICE_SEED)
+
+    def test_branch_bound_takes_no_trial_count(self):
+        validate_members(("branch_bound", "sap:4"))
+        for bad in ("branch_bound:7", "branch_bound:"):
+            with pytest.raises(SolverError, match="no trial count"):
+                validate_members(("trivial", bad))
 
     def test_budget_starvation_falls_back_to_trivial(self):
         result = solve_portfolio(

@@ -107,6 +107,7 @@ class TestValidation:
             ("members", ()),
             ("members", "trivial"),
             ("members", ("magic:3",)),
+            ("members", ("branch_bound:7",)),
             ("members", (1,)),
             ("seed", True),
             ("seed", 7.0),

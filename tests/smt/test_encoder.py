@@ -130,20 +130,6 @@ class TestEdgeCases:
         assert encoder.extract_partition().depth == 1
 
 
-class TestAmoEncodings:
-    @pytest.mark.parametrize(
-        "amo", ["pairwise", "sequential", "commander", "auto"]
-    )
-    def test_all_amo_encodings_agree(self, amo):
-        m = equation_2()
-        sat = DirectEncoder(m, 3, amo_encoding=amo)
-        assert sat.solve() is SolveStatus.SAT
-        partition = sat.extract_partition()
-        partition.validate(m)
-        unsat = DirectEncoder(m, 2, amo_encoding=amo)
-        assert unsat.solve() is SolveStatus.UNSAT
-
-
 class TestFactory:
     def test_direct(self):
         assert isinstance(

@@ -56,7 +56,7 @@ class TestIncrementalOracle:
 
     def test_conflict_budget_unknown(self):
         # A very tight conflict budget on a hard UNSAT query.
-        oracle = RankDecisionOracle(figure_1b(), symmetry="none")
+        oracle = RankDecisionOracle(figure_1b())
         status, partition = oracle.check_at_most(4, conflict_budget=1)
         assert status in (SolveStatus.UNKNOWN, SolveStatus.UNSAT)
         if status is SolveStatus.UNKNOWN:

@@ -114,14 +114,6 @@ class TestOptions:
         assert result.proved_optimal
         assert not result.queries  # fooling bound closes the gap upfront
 
-    def test_symmetry_modes(self):
-        for symmetry in ("none", "restricted", "precedence"):
-            result = sap_solve(
-                equation_2(),
-                options=SapOptions(trials=4, seed=0, symmetry=symmetry),
-            )
-            assert result.proved_optimal and result.depth == 3
-
     def test_options_kwargs_conflict(self):
         with pytest.raises(ValueError):
             sap_solve(equation_2(), options=SapOptions(), trials=3)

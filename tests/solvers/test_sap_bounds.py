@@ -1,39 +1,18 @@
-"""SAP with the optional lower-bound strengtheners (fooling / LP)."""
+"""SAP with its optional lower-bound strengthener, the fooling set.
+
+SAP does not take the fractional-cover LP bound; that bound is checked
+in ``tests/core/test_maximal_and_lp.py`` and reported by ablation A10.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.benchgen.random_matrices import random_matrix
-from repro.core.paper_matrices import equation_2, figure_1b
+from repro.core.paper_matrices import figure_1b
 from repro.solvers.sap import SapOptions, sap_solve
 
 
 class TestLpBoundInSap:
-    def test_lp_bound_does_not_change_the_answer(self):
-        queries = []
-        for matrix in (equation_2(), figure_1b()):
-            plain = sap_solve(
-                matrix,
-                options=SapOptions(trials=16, seed=1, use_fooling_bound=False),
-            )
-            queries.extend(plain.queries)
-            with_lp = sap_solve(
-                matrix,
-                options=SapOptions(trials=16, seed=1, use_lp_bound=True),
-            )
-            assert plain.depth == with_lp.depth
-            assert plain.proved_optimal and with_lp.proved_optimal
-        assert queries
-
-    def test_lp_bound_recorded_in_lower_bound(self):
-        result = sap_solve(
-            figure_1b(),
-            options=SapOptions(trials=16, seed=1, use_lp_bound=True),
-        )
-        # Figure 1b: rank 4, fooling 5, LP <= cover = 5.  The recorded
-        # lower bound must dominate the plain rank bound.
-        assert result.lower_bound >= 4
-
     def test_all_strengtheners_together(self):
         result = sap_solve(
             figure_1b(),
@@ -41,7 +20,6 @@ class TestLpBoundInSap:
                 trials=16,
                 seed=1,
                 use_fooling_bound=True,
-                use_lp_bound=True,
             ),
         )
         assert result.proved_optimal
@@ -65,7 +43,6 @@ class TestLpBoundInSap:
                 trials=8,
                 seed=seed,
                 use_fooling_bound=True,
-                use_lp_bound=True,
             ),
         )
         assert plain.proved_optimal and strengthened.proved_optimal
