@@ -6,14 +6,17 @@ and the tightness of the three bounds on the families where they
 differ: random (rank is near-tight), gap (rank is slack by
 construction), and crown matrices (rank n vs logarithmic cover bounds).
 
-It also times the two exact rank paths on the paper-scale matrices the
+It also times the exact rank on the paper-scale matrices the
 ``heuristic-large`` workload solves: the five 100x100 ``table1-rand``
 occupancies and the full ``scale-sweep`` family.  ``rank_over_q``
-eliminates matrices of 32x32 and up modulo primes; the Bareiss path is
-what it replaced there.  Beside each group's ``rank/`` entry, a
-``trivial/`` entry times the rest of the set-up every portfolio solve
-pays: ``reduce_matrix`` (Section III-B's removal of empty and duplicate
-rows and columns) and the ``trivial`` member's ``trivial_partition``.
+answers a matrix from its rank over GF(2) when that meets the bound,
+and otherwise eliminates matrices of 32x32 and up modulo primes; the
+Bareiss path is what it replaced there.  Each group's ``rank/`` entry
+counts the matrices the GF(2) certificate settled (``null`` when the
+``src`` under test predates it).  Beside it, a ``trivial/`` entry times
+the rest of the set-up: ``reduce_matrix`` (Section III-B's removal of
+empty and duplicate rows and columns, which the modular path and SAP
+run) and the ``trivial`` member's ``trivial_partition``.
 
 Every case is recorded in ``BENCH_bounds.json`` (override the directory
 with ``REPRO_BENCH_DIR``), with process times that are the fastest of
@@ -41,6 +44,11 @@ from repro.solvers.trivial import trivial_partition
 from repro.utils.rng import spawn_seeds
 
 from _record import record_entry
+
+try:
+    from repro.linalg.exact_rank import _gf2_certified_rank
+except ImportError:  # an older src, run for comparison
+    _gf2_certified_rank = None
 
 REPEATS = 3
 
@@ -125,12 +133,18 @@ def test_rank_paths_on_heuristic_large(root_seed):
             lambda: [_bareiss_rank(_to_int_rows(m)) for m in matrices]
         )
         assert ranks == reference
+        certified = None
+        if _gf2_certified_rank is not None:
+            certified = sum(
+                _gf2_certified_rank(m) is not None for m in matrices
+            )
         record_entry(
             "bounds",
             f"rank/{name}",
             {
                 "shapes": sorted({"x".join(map(str, m.shape)) for m in matrices}),
                 "ranks": ranks,
+                "gf2_certified": certified,
                 "rank_over_q_cpu_s": rank_cpu,
                 "bareiss_cpu_s": bareiss_cpu,
                 "speedup": bareiss_cpu / rank_cpu,

@@ -2,8 +2,24 @@
 
 Eq. 3 of the paper — ``rank_R(M) <= r_B(M)`` — is SAP's termination
 criterion, so the rank must be *exact*: floating-point ranks (numpy's SVD
-threshold) can misjudge near-singular integer matrices.  There are two
-exact paths; :data:`MODULAR_CUTOFF` picks one by the matrix's shape.
+threshold) can misjudge near-singular integer matrices.
+
+A :class:`BinaryMatrix` is first offered a certificate over GF(2).  Its
+distinct non-zero row masks go through an XOR basis
+(:func:`repro.linalg.gf2.gf2_rank_of_masks`, well under a millisecond
+at 100x100), and the rank over GF(2) is returned at once when it equals
+``b``, the smaller of the numbers of distinct non-zero rows and of
+non-zero columns.  This is exact, because
+
+    rank_GF(2) <= rank_Q <= b.
+
+The right inequality holds because repeated and zero rows add nothing
+to the row space, nor zero columns to the column space.  For the left
+one, let ``r = rank_GF(2)``: some ``r x r`` minor has a determinant
+that is 1 mod 2, so over the integers that determinant is odd, and an
+odd number is not zero.  When the rank over GF(2) falls below ``b``,
+one of two exact paths runs; :data:`MODULAR_CUTOFF` picks one by the
+matrix's shape.
 
 * **Bareiss** (either dimension below the cutoff).  One-step Bareiss
   elimination stays in integers, every division is exact, and
@@ -50,15 +66,17 @@ Miller-Rabin.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import count
 from math import prod
-from operator import mul
-from typing import Callable, Iterator, List, Sequence, Union
+from operator import mul, or_
+from typing import Callable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.reductions import reduce_matrix
+from repro.linalg.gf2 import gf2_rank_of_masks
 
 MatrixLike = Union[BinaryMatrix, np.ndarray, Sequence[Sequence[int]]]
 
@@ -82,6 +100,9 @@ def _to_int_rows(matrix: MatrixLike) -> List[List[int]]:
 def rank_over_q(matrix: MatrixLike) -> int:
     """Exact rank of an integer matrix over the field of rationals."""
     if isinstance(matrix, BinaryMatrix):
+        certified = _gf2_certified_rank(matrix)
+        if certified is not None:
+            return certified
         if min(matrix.shape) >= MODULAR_CUTOFF:
             return _binary_modular_rank(matrix)
     rows = _to_int_rows(matrix)
@@ -90,6 +111,14 @@ def rank_over_q(matrix: MatrixLike) -> int:
     if min(len(rows), len(rows[0])) >= MODULAR_CUTOFF:
         return _modular_rank(rows)
     return _bareiss_rank(rows)
+
+
+def _gf2_certified_rank(matrix: BinaryMatrix) -> Optional[int]:
+    """The rank of ``matrix`` over Q when its rank over GF(2) proves it,
+    else ``None`` (module docstring)."""
+    rows = {mask for mask in matrix.row_masks if mask}
+    bound = min(len(rows), reduce(or_, rows, 0).bit_count())
+    return bound if gf2_rank_of_masks(rows) == bound else None
 
 
 def _bareiss_rank(rows: List[List[int]]) -> int:

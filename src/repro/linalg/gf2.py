@@ -6,14 +6,18 @@ useful diagnostic: the gap construction of benchmark Set 3 exploits
 exactly the difference between mod-2 and real arithmetic.  It also backs
 the qLDPC substrate (parity-check matrices live over GF(2)).
 
-All routines keep the invariant that stored pivots have pairwise distinct
-lowest set bits; reduction XORs a vector against the pivot sharing its
-current lowest bit until the vector dies or exposes a fresh pivot bit.
+The basis, row-space and solve routines keep the invariant that stored
+pivots have pairwise distinct lowest set bits; reduction XORs a vector
+against the pivot sharing its current lowest bit until the vector dies or
+exposes a fresh pivot bit.  The rank needs no particular basis, so
+:func:`gf2_rank_of_masks` keys its pivots by highest set bit instead:
+``bit_length`` is one call on the mask, where ``mask & -mask`` builds two
+new integers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,11 +45,21 @@ def _reduce(mask: int, pivots: Dict[int, int]) -> int:
 
 def gf2_rank(matrix: MatrixLike) -> int:
     """Rank over GF(2) by Gaussian elimination on row masks."""
+    return gf2_rank_of_masks(_to_binary(matrix).row_masks)
+
+
+def gf2_rank_of_masks(masks: Iterable[int]) -> int:
+    """Rank over GF(2) of the rows given as masks: an XOR basis keyed by
+    each pivot's highest set bit."""
     pivots: Dict[int, int] = {}
-    for mask in _to_binary(matrix).row_masks:
-        residue = _reduce(mask, pivots)
-        if residue:
-            pivots[residue & -residue] = residue
+    for mask in masks:
+        while mask:
+            top = mask.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = mask
+                break
+            mask ^= pivot
     return len(pivots)
 
 

@@ -292,8 +292,8 @@ def result_from_dict(
 # Running one member
 # ----------------------------------------------------------------------
 def _parse_trials(name: str, default: int) -> int:
-    kind, _, trials_text = name.partition(":")
-    if not trials_text:
+    _, colon, trials_text = name.partition(":")
+    if not colon:
         return default
     try:
         trials = int(trials_text)

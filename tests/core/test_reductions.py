@@ -3,6 +3,8 @@
 ``TestAgainstCellLoops`` compares ``reduce_matrix`` and ``lift`` with
 reference versions that walk every cell and pack index lists, and
 requires the same groups, reduced masks and lifted rectangles, in order.
+It also requires ``trivial_partition``, which groups the masks itself,
+to return the rectangles of the reduce-partition-lift route, in order.
 """
 
 from typing import Dict, List, Tuple
@@ -28,6 +30,7 @@ from repro.linalg.exact_rank import (
     rank_over_q,
     real_rank,
 )
+from repro.solvers.trivial import trivial_partition
 
 
 class TestReduceMatrix:
@@ -264,3 +267,21 @@ class TestAgainstCellLoops:
     @settings(max_examples=40)
     def test_rank_over_q_matches_bareiss(self, m):
         assert rank_over_q(m) == _bareiss_rank(_to_int_rows(m))
+
+    @given(planted_matrices())
+    @settings(max_examples=150)
+    def test_trivial_partition_matches_reduce_and_lift(self, m):
+        reduced = reduce_matrix(m)
+        inner = reduced.matrix
+        if inner.num_rows <= inner.num_cols:
+            rects = [
+                Rectangle(1 << k, mask) for k, mask in enumerate(inner.row_masks)
+            ]
+        else:
+            rects = [
+                Rectangle(mask, 1 << k) for k, mask in enumerate(inner.col_masks())
+            ]
+        expected = reduced.lift(Partition(rects, inner.shape))
+        partition = trivial_partition(m)
+        assert partition.shape == expected.shape == m.shape
+        assert partition.rectangles == expected.rectangles

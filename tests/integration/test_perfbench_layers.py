@@ -9,10 +9,12 @@ under ``python3 perfbench/run.py --trace 1``, with a ``KeyError``.
 A caller that binds a wrapped function before the patch (a default
 argument, a ``functools.partial`` built at import) fails silently
 instead: its layer counts nothing.  So one traced ``packing:4`` solve
-must still count every pass, and one traced oracle descent must still
-count its encoder build and its narrowing.
+must still count every pass, one traced oracle descent must still count
+its encoder build and its narrowing, and one traced portfolio solve must
+still count its Eq. 3 bound.
 """
 
+from importlib import import_module
 from pathlib import Path
 
 from repro.core.paper_matrices import figure_1b, figure_3
@@ -75,3 +77,19 @@ def test_traced_oracle_counts_the_build_and_the_narrowing(monkeypatch):
     assert names.count("encode") == 2
     assert names.count("oracle") == 2
     assert tracer.counters["encode.vars"] > 0
+
+
+def test_traced_portfolio_counts_one_bound_per_solve(monkeypatch):
+    pb_layers, pb_trace = _perfbench(monkeypatch)
+    # Called through its module: the tracer rebinds names in repro
+    # modules only, not in this one.
+    portfolio = import_module("repro.service.portfolio")
+    tracer = pb_trace.Tracer()
+    try:
+        pb_layers.install_solver_layers(tracer)
+        portfolio.solve_portfolio(figure_3(), members=("trivial", "packing:4"))
+    finally:
+        tracer.restore()
+    names = [span[3] for span in tracer.spans]
+    assert names.count("portfolio") == 1
+    assert names.count("bounds") == 1

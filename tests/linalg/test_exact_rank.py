@@ -1,22 +1,31 @@
 """Unit tests for exact rank over Q.
 
-Matrices with a dimension below ``MODULAR_CUTOFF`` take the Bareiss
-path; the small cases below check it against numpy.  Larger matrices
-take the modular path, which ``TestModularPath`` checks against Bareiss
-as the reference: random binary matrices at several occupancies,
-planted rank-deficient ones that need more than one prime, signed
-entries, entries beyond ``int64``, an unlucky first prime, and the
-Hadamard stop rule itself.
+A ``BinaryMatrix`` whose rank over GF(2) meets the bound is answered
+by that certificate, which ``TestGf2Certificate`` checks against
+Bareiss.  Otherwise matrices with a dimension below ``MODULAR_CUTOFF``
+take the Bareiss path; the small cases below check it against numpy.
+Larger matrices take the modular path, which ``TestModularPath`` checks
+against Bareiss as the reference: random binary matrices at several
+occupancies, planted rank-deficient ones that need more than one prime,
+signed entries, entries beyond ``int64``, an unlucky first prime, and
+the Hadamard stop rule itself.  Its binary inputs carry a row and a
+column that are XORs of two others (``gf2_dependent``), so the
+certificate falls short and the prime loop runs.
 """
 
 import random
+import sys
 from itertools import islice
 from math import isqrt, prod
+from types import ModuleType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchgen.random_matrices import random_matrix
+from repro.core import bounds, reductions
 from repro.core.binary_matrix import BinaryMatrix
 from repro.linalg import exact_rank
 from repro.linalg.exact_rank import (
@@ -29,6 +38,8 @@ from repro.linalg.exact_rank import (
     rank_over_q,
     real_rank,
 )
+from repro.linalg.gf2 import gf2_rank
+from repro.service.portfolio import CERTIFIED_BY_RANK, solve_portfolio
 
 
 class TestRankOverQ:
@@ -129,6 +140,23 @@ def union_of_rectangles(num_rows, num_cols, count, rng):
     return BinaryMatrix(masks, num_cols)
 
 
+def gf2_dependent(m):
+    """``m`` with its last column set to the XOR of its first two, then
+    its last row to the XOR of its first two rows (the column relation
+    survives, since XOR is linear).  Where the two rows overlap, their
+    XOR is not their sum, so the relation holds over GF(2) but not over
+    Q.  Unless the planted row or column is zero or repeats another, the
+    rank over GF(2) falls below the certificate's bound, and
+    ``rank_over_q`` must take an elimination path."""
+    last = m.num_cols - 1
+    masks = [
+        mask & ~(1 << last) | ((mask ^ mask >> 1) & 1) << last
+        for mask in m.row_masks
+    ]
+    masks[-1] = masks[0] ^ masks[1]
+    return BinaryMatrix(masks, m.num_cols)
+
+
 def matmul(left, right):
     return [
         [sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
@@ -165,17 +193,22 @@ def primes_used(monkeypatch):
 
 class TestModularPath:
     def test_cutoff_selects_the_path(self, primes_used):
-        rank_over_q(random_matrix(MODULAR_CUTOFF - 1, 64, 0.3, seed=1))
+        # Planted XOR rows keep the GF(2) certificate from answering.
+        below = random_matrix(MODULAR_CUTOFF - 1, 64, 0.3, seed=1)
+        rank_over_q(gf2_dependent(below))
         assert primes_used == []
-        rank_over_q(random_matrix(MODULAR_CUTOFF, MODULAR_CUTOFF, 0.3, seed=1))
+        at = random_matrix(MODULAR_CUTOFF, MODULAR_CUTOFF, 0.3, seed=1)
+        rank_over_q(gf2_dependent(at))
         assert primes_used == [2**31 - 1]
 
     @pytest.mark.parametrize("occupancy", [0.02, 0.1, 0.3, 0.6, 0.9])
     def test_random_binary_matches_bareiss(self, occupancy, primes_used):
         rng = random.Random(int(occupancy * 100))
         for _ in range(4):
-            m = random_matrix(
-                rng.randint(32, 64), rng.randint(32, 64), occupancy, seed=rng
+            m = gf2_dependent(
+                random_matrix(
+                    rng.randint(32, 64), rng.randint(32, 64), occupancy, seed=rng
+                )
             )
             assert rank_over_q(m) == bareiss(m)
         assert primes_used
@@ -211,7 +244,7 @@ class TestModularPath:
             assert primes_used == list(islice(_word_primes(), min(needed)))
 
     def test_duplicate_rows_are_merged_first(self, primes_used):
-        m = random_matrix(32, 40, 0.5, seed=9)
+        m = gf2_dependent(random_matrix(32, 40, 0.5, seed=9))
         stacked = BinaryMatrix(m.row_masks * 2, m.num_cols)
         assert rank_over_q(stacked) == bareiss(m) == 32
         # Merged, the rows are independent, so the first prime settles it.
@@ -277,7 +310,7 @@ class TestBinaryPath:
     def test_same_full_hadamard_and_residue_rank(self, loop_inputs):
         rng = random.Random(11)
         for _ in range(4):
-            base = union_of_rectangles(36, 44, 6, rng)
+            base = gf2_dependent(union_of_rectangles(36, 44, 6, rng))
             # Duplicate some rows and columns, and add empty ones.
             masks = [mask | (mask & 0b1111) << 44 for mask in base.row_masks]
             m = BinaryMatrix(masks + masks[:5] + [0, 0], 48)
@@ -285,6 +318,96 @@ class TestBinaryPath:
             binary, integer = loop_inputs[-2:]
             assert binary == integer
             del loop_inputs[:]
+
+
+def unit_triangular(n, seed):
+    """A random unit upper-triangular 0/1 matrix: its determinant is 1,
+    so its rank is ``n`` over GF(2) and over Q, and its rows and its
+    columns are all distinct."""
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    return BinaryMatrix(
+        [(rng.getrandbits(n) | 1) << i & full for i in range(n)], n
+    )
+
+
+@st.composite
+def mixed_rows(draw):
+    """Random 0/1 matrices on either side of ``MODULAR_CUTOFF``, with
+    zero rows, repeated rows and rows that are the XOR of two others."""
+    low = draw(st.sampled_from((1, MODULAR_CUTOFF)))
+    num_rows = draw(st.integers(low, low + 12))
+    num_cols = draw(st.integers(low, low + 12))
+    occupancy = draw(st.sampled_from((0.05, 0.2, 0.5, 0.8)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = list(
+        random_matrix(num_rows, num_cols, occupancy, seed=seed).row_masks
+    )
+    row = st.integers(0, num_rows - 1)
+    for i in draw(st.lists(row, max_size=3)):
+        rows[i] = 0
+    for dst, src in draw(st.lists(st.tuples(row, row), max_size=4)):
+        rows[dst] = rows[src]
+    for dst, a, b in draw(st.lists(st.tuples(row, row, row), max_size=4)):
+        rows[dst] = rows[a] ^ rows[b]
+    return BinaryMatrix(rows, num_cols)
+
+
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every call to ``module.name``, made through
+    any module that binds that function by name."""
+    original = getattr(module, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for loaded in list(sys.modules.values()):
+        if isinstance(loaded, ModuleType) and vars(loaded).get(name) is original:
+            monkeypatch.setattr(loaded, name, spy)
+    return calls
+
+
+class TestGf2Certificate:
+    @given(mixed_rows())
+    @settings(max_examples=80)
+    def test_matches_bareiss(self, m):
+        assert rank_over_q(m) == bareiss(m)
+
+    @pytest.mark.parametrize("n", [3, MODULAR_CUTOFF])
+    def test_zero_all_ones_and_identity_are_certified(self, n):
+        for m, rank in (
+            (BinaryMatrix.zeros(n, n + 2), 0),
+            (BinaryMatrix.all_ones(n + 2, n), 1),
+            (BinaryMatrix.identity(n), n),
+        ):
+            assert exact_rank._gf2_certified_rank(m) == rank
+            assert rank_over_q(m) == bareiss(m) == rank
+
+    def test_odd_cycle_has_rank_3_over_q_and_2_over_gf2(self):
+        m = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        assert gf2_rank(m) == 2
+        assert exact_rank._gf2_certified_rank(m) is None
+        assert rank_over_q(m) == bareiss(m) == 3
+
+    def test_one_solve_reduces_and_eliminates_only_when_gf2_falls_short(
+        self, monkeypatch
+    ):
+        bound_calls = count_calls(monkeypatch, bounds, "rank_lower_bound")
+        reduce_calls = count_calls(monkeypatch, reductions, "reduce_matrix")
+        eliminations = count_calls(monkeypatch, exact_rank, "_rank_mod_p")
+        certifiable = unit_triangular(100, seed=1)
+        short = gf2_dependent(random_matrix(100, 100, 0.2, seed=3))
+        for m, expected in ((certifiable, 0), (short, 1)):
+            del bound_calls[:], reduce_calls[:], eliminations[:]
+            result = solve_portfolio(m, members=("trivial", "packing:32"))
+            # The trivial partition meets the rank bound: packing is skipped.
+            assert result.certifier == CERTIFIED_BY_RANK
+            assert result.partition.depth == result.lower_bound == 100
+            assert result.member("packing:32").skipped
+            assert len(bound_calls) == 1
+            assert len(reduce_calls) == len(eliminations) == expected
 
 
 class TestWordPrimes:

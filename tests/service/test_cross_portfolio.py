@@ -171,6 +171,12 @@ class TestProvenance:
             with pytest.raises(SolverError, match="no trial count"):
                 validate_members(("trivial", bad))
 
+    def test_exact_spec_needs_a_count_after_its_colon(self):
+        validate_members(("sap", "sap_paper", "sap:4", "sap_paper:4"))
+        for bad in ("sap:", "sap_paper:"):
+            with pytest.raises(SolverError, match="bad trial count ''"):
+                validate_members(("trivial", bad))
+
     def test_budget_starvation_falls_back_to_trivial(self):
         result = solve_portfolio(
             figure_1b(),

@@ -108,6 +108,8 @@ class TestValidation:
             ("members", "trivial"),
             ("members", ("magic:3",)),
             ("members", ("branch_bound:7",)),
+            ("members", ("sap:",)),
+            ("members", ("trivial", "sap_paper:")),
             ("members", (1,)),
             ("seed", True),
             ("seed", 7.0),
