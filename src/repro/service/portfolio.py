@@ -319,11 +319,13 @@ def run_member(
 ) -> MemberOutcome:
     """Run one portfolio member and validate whatever it returns.
 
-    Never raises on solver failure: budget exhaustion and invalid
-    output become ``error`` on the outcome so one bad member cannot
-    take down the race.  ``cancel`` (an ``is_set()``-style flag) is
-    forwarded to the exact backends, which poll it alongside their
-    time budgets.
+    An exact backend's partition is validated here; the registry
+    heuristics (``trivial_partition`` and ``best_of_trials``) validate
+    theirs on ``matrix`` before they return it.  Never raises on solver
+    failure: budget exhaustion and invalid output become ``error`` on
+    the outcome so one bad member cannot take down the race.
+    ``cancel`` (an ``is_set()``-style flag) is forwarded to the exact
+    backends, which poll it alongside their time budgets.
     """
     began = time.perf_counter()
     partition: Optional[Partition] = None
@@ -366,7 +368,7 @@ def run_member(
             detail = {"nodes": bb.nodes}
         else:
             partition = make_heuristic(name)(matrix, seed)
-        if partition is not None:
+        if kind in EXACT_MEMBERS and partition is not None:
             partition.validate(matrix)
     except (BudgetExceeded, SolverError, InvalidPartitionError) as exc:
         partition = None

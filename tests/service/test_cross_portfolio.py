@@ -6,8 +6,11 @@ the exact backends (SAP, branch and bound) must agree on the optimal
 depth, and every heuristic must land at or above it.
 """
 
+from importlib import import_module
+
 import pytest
 
+from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import SolverError
 from repro.core.paper_matrices import (
     equation_2,
@@ -15,6 +18,7 @@ from repro.core.paper_matrices import (
     figure_3,
     section_2_nonbinary_example,
 )
+from repro.core.partition import Partition
 from repro.cover.validate import validate_cover
 from repro.service.portfolio import (
     is_exact_member,
@@ -187,3 +191,48 @@ class TestProvenance:
         result.partition.validate(figure_1b())
         assert result.member("sap").skipped
         assert result.winner == "trivial"
+
+
+TRANSPOSE_PACKS_SHALLOWER = BinaryMatrix.from_strings(
+    ["010100", "001000", "001101", "100110", "110010", "101011"]
+)
+"""Every row order packs this matrix into 6 rectangles and its transpose
+into 5, so ``best_of_trials`` returns a partition it transposed back,
+which no packing pass validated."""
+
+
+class TestHeuristicMembersValidateOnce:
+    """The registry heuristics validate the partition they return, so
+    ``run_member`` does not validate it a second time."""
+
+    @pytest.mark.parametrize(
+        "name,matrix",
+        [("trivial", figure_3()), ("packing:4", TRANSPOSE_PACKS_SHALLOWER)],
+    )
+    def test_returned_partition_validated_once(self, monkeypatch, name, matrix):
+        validated = []
+        validate = Partition.validate
+
+        def spy(partition, target):
+            validated.append(partition)
+            validate(partition, target)
+
+        monkeypatch.setattr(Partition, "validate", spy)
+        outcome = run_member(matrix, name, seed=SERVICE_SEED)
+        assert outcome.error is None
+        assert sum(p is outcome.partition for p in validated) == 1
+
+    def test_packing_member_rejects_a_pass_missing_a_rectangle(
+        self, monkeypatch
+    ):
+        row_packing = import_module("repro.solvers.row_packing")
+        pack_rows_once = row_packing.pack_rows_once
+
+        def drop_one(side, order, **kwargs):
+            partition = pack_rows_once(side, order, **kwargs)
+            return Partition(partition.rectangles[1:], partition.shape)
+
+        monkeypatch.setattr(row_packing, "pack_rows_once", drop_one)
+        outcome = run_member(figure_3(), "packing:4", seed=SERVICE_SEED)
+        assert outcome.partition is None and outcome.depth is None
+        assert outcome.error.startswith("InvalidPartitionError: ")
