@@ -5,35 +5,18 @@ vectors ``r_i`` and ``k`` linearly independent column vectors ``c_i``;
 then ``M = sum_i c_i r_i`` is binary (disjoint rows prevent overlaps),
 has an evident ``k``-rectangle partition, and has real rank exactly
 ``k`` — so by Eq. 3 the partition is optimal and ``r_B(M) = k``.
-
-:func:`_disjoint_row_vectors` gives each column an owner in ``0..k``
-(``k`` leaves it empty) and redraws all ``num_cols`` owners until every
-row vector is non-empty, as a loop of ``rng.randrange(k + 1)`` would.
-It draws the same numbers in bulk: CPython's ``randrange(k + 1)`` takes
-``getrandbits(b)``, ``b = (k + 1).bit_length()``, which is the top
-``b`` bits of one 32-bit generator output, and draws again while the
-value exceeds ``k``.  So the owners are the top bits of consecutive
-:func:`repro.utils.rng.mt_words` outputs, less the values above ``k``,
-in attempts of ``num_cols``.  After the first attempt that covers every
-owner, the generator is reset to the start of that chunk of words and
-advanced by exactly the words up to the attempt's last draw, so it ends
-where the loop would leave it.  ``tests/experiments/test_benchgen.py``
-keeps the loop as the reference.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
-from repro.benchgen.random_matrices import CHUNK_WORDS
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import InvalidMatrixError
 from repro.core.partition import Partition
 from repro.core.rectangle import Rectangle
 from repro.linalg.exact_rank import real_rank
-from repro.utils.rng import RngLike, ensure_rng, mt_words
+from repro.utils.rng import RngLike, ensure_rng
 
 
 def known_optimal_matrix(
@@ -75,43 +58,14 @@ def known_optimal_matrix(
 
 def _disjoint_row_vectors(num_cols: int, k: int, rng) -> List[int]:
     """``k`` non-empty pairwise-disjoint column masks."""
-    shift = 32 - (k + 1).bit_length()
-    owner_type = np.min_scalar_type(k)
-    pending = np.empty(0, dtype=owner_type)
-    size = 64  # doubles up to CHUNK_WORDS: a low rank draws few spare words
     while True:
-        state = rng.getstate()
-        owners = mt_words(rng, size) >> shift
-        accepted = owners <= k
-        draws = np.concatenate((pending, owners[accepted].astype(owner_type)))
-        complete = len(draws) - len(draws) % num_cols
-        attempts = draws[:complete].reshape(-1, num_cols)
-        covered = _covers_every_owner(attempts, k)
-        if covered.any():
-            first = int(covered.argmax())
-            taken = (first + 1) * num_cols - len(pending)
-            used = int(np.flatnonzero(accepted)[taken - 1]) + 1
-            rng.setstate(state)
-            rng.getrandbits(32 * used)
-            masks = [0] * k
-            for j, owner in enumerate(attempts[first].tolist()):
-                if owner < k:
-                    masks[owner] |= 1 << j
+        assignment = [rng.randrange(k + 1) for _ in range(num_cols)]
+        masks = [0] * k
+        for j, owner in enumerate(assignment):
+            if owner < k:
+                masks[owner] |= 1 << j
+        if all(masks):
             return masks
-        pending = draws[complete:]
-        size = min(2 * size, CHUNK_WORDS)
-
-
-def _covers_every_owner(attempts: np.ndarray, k: int) -> np.ndarray:
-    """Which rows of ``attempts`` hold every owner ``0..k-1``."""
-    if k < 64:
-        full = np.uint64((1 << k) - 1)
-        present = np.bitwise_or.reduce(np.uint64(1) << attempts, axis=1)
-        return (present & full) == full
-    covered = np.ones(len(attempts), dtype=bool)
-    for owner in range(k):
-        covered &= (attempts == owner).any(axis=1)
-    return covered
 
 
 def _independent_column_vectors(num_rows: int, k: int, rng):

@@ -3,31 +3,15 @@
 Sizes 10x10, 10x20, 10x30 with occupancies 10%..90%, and 100x100 with
 occupancies 1%, 2%, 5%, 10%, 20% ("higher occupancies almost always
 result in full rank, which is trivial").
-
-:func:`random_matrix` draws the numbers of a per-cell loop, row-major,
-one ``rng.random()`` per cell, but in bulk: CPython builds each
-``random()`` from two consecutive 32-bit generator outputs ``a, b`` as
-``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, so cell ``c`` reads words
-``2c`` and ``2c + 1`` of :func:`repro.utils.rng.mt_words`.  Every step
-of that sum is exact in float64, so each cell compares the very float
-``random()`` would return, and the generator ends where the loop would
-leave it.  ``tests/experiments/test_benchgen.py`` keeps the loop as the
-reference.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import InvalidMatrixError
-from repro.utils.rng import RngLike, ensure_rng, mt_words
-
-CHUNK_WORDS = 1 << 14
-"""Generator words drawn per numpy chunk by the bulk samplers (at least
-one whole row in :func:`random_matrix`)."""
+from repro.utils.rng import RngLike, ensure_rng
 
 
 def _check_shape(num_rows: int, num_cols: int) -> None:
@@ -44,28 +28,18 @@ def random_matrix(
     *,
     seed: RngLike = None,
 ) -> BinaryMatrix:
-    """Bernoulli(occupancy) i.i.d. entries: cell ``(i, j)`` is 1 when
-    the ``(i * num_cols + j)``-th ``rng.random()`` is below
-    ``occupancy``."""
+    """Bernoulli(occupancy) i.i.d. entries."""
     _check_shape(num_rows, num_cols)
     if not 0.0 <= occupancy <= 1.0:
         raise InvalidMatrixError(f"occupancy must be in [0, 1], got {occupancy}")
     rng = ensure_rng(seed)
-    rows_per_chunk = max(1, CHUNK_WORDS // max(1, 2 * num_cols))
     masks = []
-    for start in range(0, num_rows, rows_per_chunk):
-        rows = min(rows_per_chunk, num_rows - start)
-        words = mt_words(rng, 2 * rows * num_cols)
-        cells = (
-            (words[0::2] >> 5).astype(np.float64) * 67108864.0
-            + (words[1::2] >> 6)
-        ) * (1.0 / 9007199254740992.0)
-        packed = np.packbits(
-            (cells < occupancy).reshape(rows, num_cols),
-            axis=1,
-            bitorder="little",
-        )
-        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    for _ in range(num_rows):
+        mask = 0
+        for j in range(num_cols):
+            if rng.random() < occupancy:
+                mask |= 1 << j
+        masks.append(mask)
     return BinaryMatrix(masks, num_cols)
 
 

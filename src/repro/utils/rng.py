@@ -11,8 +11,6 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Union
 
-import numpy as np
-
 RngLike = Union[int, random.Random, None]
 
 
@@ -25,20 +23,6 @@ def ensure_rng(seed: RngLike = None) -> random.Random:
     if isinstance(seed, random.Random):
         return seed
     return random.Random(seed)
-
-
-def mt_words(rng: random.Random, count: int) -> np.ndarray:
-    """The next ``count`` 32-bit outputs of ``rng``'s Mersenne Twister,
-    in draw order, as a ``uint32`` array.
-
-    One ``getrandbits(32 * count)`` call: CPython fills its result with
-    consecutive outputs, the first output least significant, so ``rng``
-    ends where ``count`` one-word draws leave it.  Each
-    ``getrandbits(k)`` with ``0 < k <= 32`` is the top ``k`` bits of one
-    output, and each ``random()`` is built from two.
-    """
-    value = rng.getrandbits(32 * count)
-    return np.frombuffer(value.to_bytes(4 * count, "little"), dtype="<u4")
 
 
 def spawn_seeds(root_seed: int, count: int, *, salt: str = "") -> List[int]:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.benchgen.suite as suite
 from repro.benchgen.suite import (
     TABLE1_SET_BUILDERS,
     flatten_suites,
@@ -96,7 +97,7 @@ class TestSuiteDeduplication:
             suites = builder("paper", 2024, include_large=True)
         else:
             suites = builder("paper", 2024)
-        expected = flatten_suites(suites)
+        expected = [make() for make in flatten_suites(suites)]
         corpus = build_corpus(
             [f"table1-{set_name}"], profile="full", seed=2024
         )
@@ -113,13 +114,39 @@ class TestSuiteDeduplication:
             suites = builder("quick", 2024, include_large=False)
         else:
             suites = builder("quick", 2024)
-        universe = [c.case_id for c in flatten_suites(suites)]
+        universe = [make().case_id for make in flatten_suites(suites)]
         smoke = build_corpus(
             [f"table1-{set_name}"], profile="smoke", seed=2024
         )
         assert len(smoke) <= 3
         positions = [universe.index(c.case_id) for c in smoke]
         assert positions == sorted(positions)
+
+    @pytest.mark.parametrize(
+        "set_name,generator",
+        [
+            ("rand", "random_matrix"),
+            ("opt", "known_optimal_matrix"),
+            ("gap", "gap_matrix"),
+        ],
+    )
+    def test_capped_profiles_draw_only_the_kept_cases(
+        self, monkeypatch, set_name, generator
+    ):
+        drawn = []
+        draw = getattr(suite, generator)
+
+        def counting(*args, **kwargs):
+            drawn.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(suite, generator, counting)
+        for profile, cap in (("smoke", 3), ("quick", 12)):
+            drawn.clear()
+            corpus = build_corpus(
+                [f"table1-{set_name}"], profile=profile, seed=2024
+            )
+            assert len(corpus) == len(drawn) == cap
 
 
 class TestThin:

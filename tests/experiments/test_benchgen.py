@@ -1,14 +1,9 @@
 """Unit tests for the benchmark generators (the paper's three families)."""
 
-import random
-
 import pytest
 
 from repro.benchgen.gap import gap_matrix
-from repro.benchgen.known_optimal import (
-    _disjoint_row_vectors,
-    known_optimal_matrix,
-)
+from repro.benchgen.known_optimal import known_optimal_matrix
 from repro.benchgen.random_matrices import (
     random_matrix,
     random_matrix_exact_ones,
@@ -21,142 +16,9 @@ from repro.benchgen.suite import (
     random_suite,
     table1_suites,
 )
-from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import InvalidMatrixError
 from repro.linalg.exact_rank import real_rank
 from repro.solvers.sap import sap_solve
-
-
-def reference_random_matrix(num_rows, num_cols, occupancy, rng):
-    """The per-cell loop whose draws :func:`random_matrix` reproduces."""
-    masks = []
-    for _ in range(num_rows):
-        mask = 0
-        for j in range(num_cols):
-            if rng.random() < occupancy:
-                mask |= 1 << j
-        masks.append(mask)
-    return BinaryMatrix(masks, num_cols)
-
-
-def reference_disjoint_row_vectors(num_cols, k, rng):
-    """The ``randrange`` loop whose draws :func:`_disjoint_row_vectors`
-    reproduces."""
-    while True:
-        assignment = [rng.randrange(k + 1) for _ in range(num_cols)]
-        masks = [0] * k
-        for j, owner in enumerate(assignment):
-            if owner < k:
-                masks[owner] |= 1 << j
-        if all(masks):
-            return masks
-
-
-def _matrix_cases():
-    """1,200 ``(num_rows, num_cols, occupancy, seed)`` cases: small
-    shapes, a fifth of them with no rows or no columns, shapes whose
-    draws span several chunks, and occupancies 0, 1, uniform, and equal
-    to the first draw of the case's generator (which must read 0)."""
-    meta = random.Random(240113807)
-    shapes = [(100, 100), (200, 41), (3, 9000), (0, 9000), (9000, 0)]
-    for _ in range(300 - len(shapes)):
-        num_rows, num_cols = meta.randint(0, 24), meta.randint(0, 24)
-        if meta.random() < 0.2:
-            if meta.random() < 0.5:
-                num_rows = 0
-            else:
-                num_cols = 0
-        shapes.append((num_rows, num_cols))
-    cases = []
-    for num_rows, num_cols in shapes:
-        for kind in ("zero", "one", "uniform", "first-draw"):
-            seed = meta.getrandbits(64)
-            occupancy = {
-                "zero": 0.0,
-                "one": 1.0,
-                "uniform": meta.random(),
-                "first-draw": random.Random(seed).random(),
-            }[kind]
-            cases.append((num_rows, num_cols, occupancy, seed))
-    return cases
-
-
-def _disjoint_calls(num_cols, k):
-    """Consecutive draws per ``(num_cols, k)`` on one generator: one where
-    an attempt covers every owner rarely (over 10,000 words each)."""
-    return 1 if k >= 9 and num_cols <= k + 2 else 8
-
-
-class TestBulkDrawsMatchTheLoops:
-    """The bulk samplers return what their per-draw loops return, and
-    leave the generator in the state the loops leave it in."""
-
-    def test_random_matrix_matches_the_loop(self):
-        cases = _matrix_cases()
-        assert len(cases) >= 1000
-        for num_rows, num_cols, occupancy, seed in cases:
-            bulk, loop = random.Random(seed), random.Random(seed)
-            case = (num_rows, num_cols, occupancy, seed)
-            assert random_matrix(
-                num_rows, num_cols, occupancy, seed=bulk
-            ) == reference_random_matrix(
-                num_rows, num_cols, occupancy, loop
-            ), case
-            assert bulk.getstate() == loop.getstate(), case
-
-    def test_random_matrix_on_a_shared_generator(self):
-        """Consecutive calls on one generator, as ``random_nonempty_matrix``
-        and ``ftqc.qldpc.full_rank_fraction`` make them."""
-        meta = random.Random(29)
-        calls = 0
-        for group in range(50):
-            seed = meta.getrandbits(64)
-            bulk, loop = random.Random(seed), random.Random(seed)
-            for _ in range(20):
-                shape = (meta.randint(0, 12), meta.randint(0, 12))
-                occupancy = meta.choice((0.0, 0.05, 0.5, 1.0))
-                assert random_matrix(
-                    *shape, occupancy, seed=bulk
-                ) == reference_random_matrix(*shape, occupancy, loop)
-                assert bulk.getstate() == loop.getstate(), (group, shape)
-                calls += 1
-        assert calls == 1000
-
-    def test_nonempty_matrix_matches_the_loop(self):
-        for seed in range(200):
-            loop = random.Random(seed)
-            expected = reference_random_matrix(2, 2, 0.05, loop)
-            while expected.is_zero():
-                expected = reference_random_matrix(2, 2, 0.05, loop)
-            bulk = random.Random(seed)
-            assert random_nonempty_matrix(2, 2, 0.05, seed=bulk) == expected
-            assert bulk.getstate() == loop.getstate(), seed
-
-    def test_disjoint_row_vectors_match_the_loop(self):
-        """Every rank from 1 to ``min(num_cols, 12)`` at 1-18 columns,
-        each on one generator shared by its consecutive draws."""
-        calls = 0
-        for num_cols in range(1, 19):
-            for k in range(1, min(num_cols, 12) + 1):
-                seed = 1000 * num_cols + k
-                bulk, loop = random.Random(seed), random.Random(seed)
-                for call in range(_disjoint_calls(num_cols, k)):
-                    case = (num_cols, k, seed, call)
-                    assert _disjoint_row_vectors(
-                        num_cols, k, bulk
-                    ) == reference_disjoint_row_vectors(num_cols, k, loop), case
-                    assert bulk.getstate() == loop.getstate(), case
-                    calls += 1
-        assert calls >= 1000
-
-    @pytest.mark.parametrize("num_cols,k", [(150, 64), (200, 70)])
-    def test_disjoint_row_vectors_past_64_owners(self, num_cols, k):
-        bulk, loop = random.Random(k), random.Random(k)
-        for _ in range(2):
-            assert _disjoint_row_vectors(
-                num_cols, k, bulk
-            ) == reference_disjoint_row_vectors(num_cols, k, loop)
-            assert bulk.getstate() == loop.getstate()
 
 
 class TestRandomMatrices:
