@@ -19,12 +19,21 @@ empty and duplicate rows and columns, which the modular path and SAP
 run) and the ``trivial`` member's ``trivial_partition``.
 
 Every case is recorded in ``BENCH_bounds.json`` (override the directory
-with ``REPRO_BENCH_DIR``), with process times that are the fastest of
-:data:`REPEATS` runs.
+with ``REPRO_BENCH_DIR``).  A bound's cost is the fastest of
+:data:`REPEATS` process-time runs.  The two rank paths run one after the
+other within each of :data:`REPEATS` repetitions, and so do
+``reduce_matrix`` and ``trivial_partition``; each time recorded is the
+median over the repetitions.  A shared host's speed drifts between
+repetitions, and timing the two paths side by side moves them alike, so
+the ``rank/`` entry's ``speedup`` is the median of the per-repetition
+ratios Bareiss / ``rank_over_q``, with their interquartile range
+``speedup_iqr``.  The Bareiss path is the fixed reference, so the ratio
+compares commits run at different times.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from typing import Any, Callable, List, Tuple
 
@@ -50,7 +59,7 @@ try:
 except ImportError:  # an older src, run for comparison
     _gf2_certified_rank = None
 
-REPEATS = 3
+REPEATS = 9
 
 BOUNDS = {
     "rank": rank_lower_bound,
@@ -59,14 +68,19 @@ BOUNDS = {
 }
 
 
-def _fastest(fn: Callable[[], Any]) -> Tuple[Any, float]:
-    """``fn()`` and the least process time of :data:`REPEATS` calls."""
-    times: List[float] = []
+def _interleaved(
+    *fns: Callable[[], Any]
+) -> Tuple[List[Any], List[List[float]]]:
+    """Each ``fn()`` and its process times over :data:`REPEATS`
+    repetitions, every repetition running the ``fns`` in turn."""
+    times: List[List[float]] = [[] for _ in fns]
     for _ in range(REPEATS):
-        began = time.process_time()
-        result = fn()
-        times.append(time.process_time() - began)
-    return result, min(times)
+        results = []
+        for fn, spent in zip(fns, times):
+            began = time.process_time()
+            results.append(fn())
+            spent.append(time.process_time() - began)
+    return results, times
 
 
 def _family(name, root_seed, count):
@@ -97,9 +111,8 @@ def test_bound_cost(benchmark, root_seed, scale, family, bound_name):
     def run():
         return sum(bound(matrix) for matrix in matrices)
 
-    total, cpu_seconds = benchmark.pedantic(
-        _fastest, args=(run,), rounds=1
-    )
+    (total,), (times,) = benchmark.pedantic(_interleaved, args=(run,), rounds=1)
+    cpu_seconds = min(times)
     benchmark.extra_info["family"] = family
     benchmark.extra_info["bound"] = bound_name
     benchmark.extra_info["total_bound"] = total
@@ -128,11 +141,13 @@ def test_rank_paths_on_heuristic_large(root_seed):
     """Eq. 3 by ``rank_over_q`` and by the Bareiss path, same ranks;
     then the CPU time of ``reduce_matrix`` and ``trivial_partition``."""
     for name, matrices in _heuristic_large_groups(root_seed):
-        ranks, rank_cpu = _fastest(lambda: [rank_over_q(m) for m in matrices])
-        reference, bareiss_cpu = _fastest(
-            lambda: [_bareiss_rank(_to_int_rows(m)) for m in matrices]
+        (ranks, reference), (rank_cpu, bareiss_cpu) = _interleaved(
+            lambda: [rank_over_q(m) for m in matrices],
+            lambda: [_bareiss_rank(_to_int_rows(m)) for m in matrices],
         )
         assert ranks == reference
+        speedups = [b / r for b, r in zip(bareiss_cpu, rank_cpu)]
+        low, _, high = statistics.quantiles(speedups, n=4)
         certified = None
         if _gf2_certified_rank is not None:
             certified = sum(
@@ -145,22 +160,25 @@ def test_rank_paths_on_heuristic_large(root_seed):
                 "shapes": sorted({"x".join(map(str, m.shape)) for m in matrices}),
                 "ranks": ranks,
                 "gf2_certified": certified,
-                "rank_over_q_cpu_s": rank_cpu,
-                "bareiss_cpu_s": bareiss_cpu,
-                "speedup": bareiss_cpu / rank_cpu,
+                "repeats": REPEATS,
+                "rank_over_q_cpu_s": statistics.median(rank_cpu),
+                "bareiss_cpu_s": statistics.median(bareiss_cpu),
+                "speedup": statistics.median(speedups),
+                "speedup_iqr": high - low,
             },
         )
-        _, reduce_cpu = _fastest(lambda: [reduce_matrix(m) for m in matrices])
-        depths, trivial_cpu = _fastest(
-            lambda: [trivial_partition(m).depth for m in matrices]
+        (_, depths), (reduce_cpu, trivial_cpu) = _interleaved(
+            lambda: [reduce_matrix(m) for m in matrices],
+            lambda: [trivial_partition(m).depth for m in matrices],
         )
         record_entry(
             "bounds",
             f"trivial/{name}",
             {
                 "depths": depths,
-                "reduce_matrix_cpu_s": reduce_cpu,
-                "trivial_partition_cpu_s": trivial_cpu,
+                "repeats": REPEATS,
+                "reduce_matrix_cpu_s": statistics.median(reduce_cpu),
+                "trivial_partition_cpu_s": statistics.median(trivial_cpu),
             },
         )
 

@@ -79,9 +79,7 @@ def greedy_cover_once(
             uncovered[i] &= ~rect.col_mask
         if newly == 0:
             raise SolverError("greedy cover made no progress")
-    cover = Partition(rects, matrix.shape)
-    validate_cover(matrix, cover)
-    return cover
+    return Partition(rects, matrix.shape)
 
 
 def greedy_cover(

@@ -29,13 +29,27 @@ matrix's shape.
 * **Modular** (both dimensions at least the cutoff).  The big-integer
   inner loop costs 20-80 ms on the paper's 100x100 matrices, so large
   matrices are eliminated in numpy ``int64`` modulo primes
-  ``p_1 > p_2 > ...`` below ``2**31`` instead.  Entries are first
+  ``p_1 > p_2 > ...`` below ``2**26`` instead.  Entries are first
   reduced mod ``p`` as Python integers, since inputs may exceed
-  ``int64``; then every update ``a - f * b`` has ``|f * b| <= (p-1)**2
-  < 2**62``, which leaves ``int64`` headroom.  On small matrices the
-  per-column numpy call overhead dominates: Bareiss is 2-4x faster up
-  to 16x16, the two break even near 24x24, and from 32x32 on the
-  modular path wins.
+  ``int64``.  On small matrices the per-column numpy call overhead
+  dominates: on random and planted rank-deficient 0/1 matrices Bareiss
+  is 1.3-3.4x faster up to 16x16, the two break even near 24x24, and
+  at 28x28 and 32x32 the modular path is 1.4-1.8x faster.
+
+The elimination reduces lazily.  At each pivot it takes only the pivot
+column (before the pivot search) and the pivot row (before scaling it
+by the pivot's inverse) mod ``p``, and subtracts ``f * b`` from the
+rows below with no ``% p``: ``f`` and ``b`` are residues, so
+``0 <= f * b <= (p-1)**2``.  An entry that starts in ``[0, p)`` and has
+taken ``s`` such updates lies in ``[-s * (p-1)**2, p)``, inside
+``int64`` while ``s <= (2**63 - p) // (p-1)**2``, and the trailing
+block is reduced mod ``p`` before an update would pass that count.
+There is at most one update per pivot, and below ``2**26`` the count
+is 2,048, so the block is reduced only when both sides of the matrix
+exceed 2,048; a prime near ``2**31`` would allow 2 updates between
+reductions.  Smaller primes cost more of them only when the stop rule
+below decides (each adds 52 bits, not 62, to ``(p_1...p_k)**2``); a
+matrix whose first prime gives ``full`` needs one either way.
 
 Before eliminating, the modular path drops zero rows and columns and
 merges duplicates (this keeps the rank), and sets ``full``, the smaller
@@ -60,7 +74,7 @@ columns of the row-merged matrix.  Then ``best == rank_Q``:
   ``D``, so ``p_1...p_k <= |D| <= H``, which the stop rule excludes.
 
 No step is randomised or floating-point: the primes are the largest
-below ``2**31``, in descending order, found by deterministic
+below ``2**26``, in descending order, found by deterministic
 Miller-Rabin.
 """
 
@@ -77,6 +91,7 @@ import numpy as np
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.reductions import reduce_matrix
 from repro.linalg.gf2 import gf2_rank_of_masks
+from repro.utils.bitops import unpack_masks
 
 MatrixLike = Union[BinaryMatrix, np.ndarray, Sequence[Sequence[int]]]
 
@@ -172,16 +187,7 @@ def _binary_modular_rank(matrix: BinaryMatrix) -> int:
     """Rank over Q of a 0/1 matrix by elimination modulo primes."""
     reduced = reduce_matrix(matrix)
     num_rows, num_cols = reduced.matrix.shape
-    width = (num_cols + 7) // 8
-    packed = b"".join(
-        mask.to_bytes(width, "little") for mask in reduced.matrix.row_masks
-    )
-    bits = np.unpackbits(
-        np.frombuffer(packed, dtype=np.uint8).reshape(num_rows, width),
-        axis=1,
-        count=num_cols,
-        bitorder="little",
-    )
+    bits = unpack_masks(reduced.matrix.row_masks, num_cols)
     # Row norms are taken on the original rows, column norms on the
     # row-merged matrix, as the integer path does.
     return _certified_rank(
@@ -219,25 +225,43 @@ def _certified_rank(
 
 
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank of ``a`` (entries in ``[0, p)``) over GF(p); overwrites ``a``."""
+    """Rank of ``a`` (entries in ``[0, p)``) over GF(p); overwrites ``a``.
+
+    Only the pivot column and the pivot row are reduced mod ``p``; the
+    rows below take the rank-one update unreduced, and the trailing
+    block is reduced only when :func:`_headroom` updates have been
+    taken since its last reduction (module docstring)."""
     num_rows, num_cols = a.shape
-    rank = 0
+    headroom = _headroom(p)
+    rank = steps = 0
     for col in range(num_cols):
-        nonzero = np.flatnonzero(a[rank:, col])
+        column = a[rank:, col] % p
+        nonzero = np.flatnonzero(column)
         if nonzero.size == 0:
             continue
         pivot = rank + int(nonzero[0])
         if pivot != rank:
             a[[rank, pivot]] = a[[pivot, rank]]
         # The swap left the other nonzero rows where they were.
-        below = rank + nonzero[1:]
+        below = nonzero[1:]
         if below.size:
-            top = a[rank, col:] * pow(int(a[rank, col]), -1, p) % p
-            a[below, col:] = (a[below, col:] - a[below, col][:, None] * top) % p
+            if steps == headroom:
+                a[rank + 1 :, col + 1 :] %= p
+                steps = 0
+            inverse = pow(int(column[nonzero[0]]), -1, p)
+            top = a[rank, col + 1 :] % p * inverse % p
+            a[rank + below, col + 1 :] -= column[below][:, None] * top
+            steps += 1
         rank += 1
         if rank == num_rows:
             break
     return rank
+
+
+def _headroom(p: int) -> int:
+    """Unreduced updates an ``int64`` block with entries in ``[0, p)``
+    takes before an entry could leave ``int64`` (module docstring)."""
+    return (2**63 - p) // (p - 1) ** 2
 
 
 def _is_prime(n: int) -> bool:
@@ -261,8 +285,8 @@ def _is_prime(n: int) -> bool:
 
 
 def _word_primes() -> Iterator[int]:
-    """The primes below ``2**31`` in descending order."""
-    for n in count(2**31 - 1, -2):
+    """The primes below ``2**26`` in descending order."""
+    for n in count(2**26 - 1, -2):
         if _is_prime(n):
             yield n
 

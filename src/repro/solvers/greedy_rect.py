@@ -68,9 +68,7 @@ def greedy_rectangle_once(
         rects.append(rect)
         for i in rect.rows:
             uncovered[i] &= ~rect.col_mask
-    partition = merge_rectangles(Partition(rects, matrix.shape))
-    partition.validate(matrix)
-    return partition
+    return merge_rectangles(Partition(rects, matrix.shape))
 
 
 def greedy_rectangle(

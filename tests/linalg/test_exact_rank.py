@@ -10,7 +10,9 @@ occupancies, planted rank-deficient ones that need more than one prime,
 signed entries, entries beyond ``int64``, an unlucky first prime, and
 the Hadamard stop rule itself.  Its binary inputs carry a row and a
 column that are XORs of two others (``gf2_dependent``), so the
-certificate falls short and the prime loop runs.
+certificate falls short and the prime loop runs.  ``TestLazyElimination``
+checks the elimination mod one prime against the eager form it
+replaced, kept here as ``reference_rank_mod_p``.
 """
 
 import random
@@ -199,7 +201,7 @@ class TestModularPath:
         assert primes_used == []
         at = random_matrix(MODULAR_CUTOFF, MODULAR_CUTOFF, 0.3, seed=1)
         rank_over_q(gf2_dependent(at))
-        assert primes_used == [2**31 - 1]
+        assert primes_used == [2**26 - 5]
 
     @pytest.mark.parametrize("occupancy", [0.02, 0.1, 0.3, 0.6, 0.9])
     def test_random_binary_matches_bareiss(self, occupancy, primes_used):
@@ -228,7 +230,7 @@ class TestModularPath:
     def test_stop_rule_is_the_hadamard_bound(self, primes_used):
         # Wide enough that the row and the column products of squared
         # norms need different numbers of primes; the smaller one counts.
-        wide = union_of_rectangles(36, 80, 7, random.Random(0))
+        wide = union_of_rectangles(34, 80, 7, random.Random(0))
         for m in (wide, wide.transpose()):
             del primes_used[:]
             rank = rank_over_q(m)
@@ -271,7 +273,7 @@ class TestModularPath:
         assert rank_over_q(dense) == bareiss(dense) == 32
 
     def test_unlucky_first_prime(self, primes_used):
-        p = 2**31 - 1
+        p = 2**26 - 5
         m = np.eye(32, dtype=np.int64)
         m[5, 5] = p
         assert exact_rank._rank_mod_p(m % p, p) == 31
@@ -287,6 +289,86 @@ class TestModularPath:
     def test_zero_and_duplicate_rows(self):
         assert rank_over_q(np.zeros((40, 40), dtype=int)) == 0
         assert rank_over_q(np.ones((50, 40), dtype=int)) == 1
+
+
+def reference_rank_mod_p(a, p):
+    """``_rank_mod_p`` as it was before the lazy update: the trailing
+    block is reduced mod ``p`` at every pivot."""
+    num_rows, num_cols = a.shape
+    rank = 0
+    for col in range(num_cols):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if nonzero.size == 0:
+            continue
+        pivot = rank + int(nonzero[0])
+        if pivot != rank:
+            a[[rank, pivot]] = a[[pivot, rank]]
+        below = rank + nonzero[1:]
+        if below.size:
+            top = a[rank, col:] * pow(int(a[rank, col]), -1, p) % p
+            a[below, col:] = (a[below, col:] - a[below, col][:, None] * top) % p
+        rank += 1
+        if rank == num_rows:
+            break
+    return rank
+
+
+@st.composite
+def residue_matrices(draw):
+    """``int64`` matrices up to 64x64 with entries in ``[0, p)``: dense,
+    mostly zero, or with rows planted as combinations of others mod
+    ``p``, so the rank falls short of the smaller side."""
+    p = draw(st.sampled_from((2**26 - 5, 2**31 - 1)))
+    num_rows = draw(st.integers(1, 64))
+    num_cols = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, p, size=(num_rows, num_cols), dtype=np.int64)
+    zeros = draw(st.sampled_from((0.0, 0.5, 0.95)))
+    a[rng.random((num_rows, num_cols)) < zeros] = 0
+    for _ in range(draw(st.integers(0, num_rows - 1))):
+        target, *sources = rng.integers(0, num_rows, size=3)
+        factors = rng.integers(0, p, size=2, dtype=np.int64)
+        # Two products below p**2 < 2**63 each, reduced before adding.
+        a[target] = (
+            a[sources[0]] * factors[0] % p + a[sources[1]] * factors[1] % p
+        ) % p
+    return a, p
+
+
+class TestLazyElimination:
+    """``_rank_mod_p`` reduces only its pivot column and pivot row, and
+    the trailing block once its ``int64`` headroom runs out."""
+
+    def test_headroom(self):
+        # No 100x100 elimination reduces the block under the first
+        # prime; under 2**31 - 1 it is reduced every second update.
+        assert exact_rank._headroom(next(_word_primes())) == 2048
+        assert exact_rank._headroom(2**31 - 1) == 2
+
+    @given(residue_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_eager_reference(self, case):
+        a, p = case
+        assert exact_rank._rank_mod_p(a.copy(), p) == reference_rank_mod_p(
+            a.copy(), p
+        )
+        assert exact_rank._rank_mod_p(a.T.copy(), p) == reference_rank_mod_p(
+            a.T.copy(), p
+        )
+
+    @pytest.mark.parametrize("p", [2**26 - 5, 2**31 - 1])
+    def test_planted_rank_deficient_squares(self, p):
+        rng = np.random.default_rng(p)
+        for rank in (1, 17, 63):
+            left = rng.integers(0, p, size=(64, rank), dtype=np.int64)
+            right = rng.integers(0, p, size=(rank, 64), dtype=np.int64)
+            # A rank-``rank`` product mod p, one term at a time.
+            a = np.zeros((64, 64), dtype=np.int64)
+            for k in range(rank):
+                a = (a + left[:, k : k + 1] * right[k] % p) % p
+            expected = reference_rank_mod_p(a.copy(), p)
+            assert expected <= rank
+            assert exact_rank._rank_mod_p(a.copy(), p) == expected
 
 
 class TestBinaryPath:
@@ -411,9 +493,10 @@ class TestGf2Certificate:
 
 
 class TestWordPrimes:
-    def test_descend_from_the_largest_prime_below_2_31(self):
+    def test_descend_from_the_largest_prime_below_2_26(self):
         primes = list(islice(_word_primes(), 4))
-        assert primes[0] == 2**31 - 1
+        assert primes[0] == 2**26 - 5
+        assert not any(map(is_prime_by_trial, range(primes[0] + 1, 2**26)))
         assert primes == sorted(set(primes), reverse=True)
         assert all(is_prime_by_trial(p) for p in primes)
 

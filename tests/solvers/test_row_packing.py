@@ -4,10 +4,14 @@ import importlib
 
 import pytest
 
+from repro.completion.heuristic import masked_row_packing
+from repro.completion.masked import MaskedMatrix
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.bounds import trivial_upper_bound
 from repro.core.exceptions import SolverError
 from repro.core.paper_matrices import FIGURE_3_GOOD_ORDER, figure_3
+from repro.core.partition import Partition
+from repro.cover.greedy import greedy_cover
 from repro.solvers.registry import make_heuristic
 from repro.solvers.row_packing import (
     PackingOptions,
@@ -190,3 +194,56 @@ class TestPassCount:
     def test_shuffle_runs_every_trial(self, passes):
         row_packing(figure_3(), options=PackingOptions(trials=10, seed=0))
         assert len(passes) == 20
+
+
+class TestOneValidationPerCall:
+    """The passes do not validate their partitions; ``best_of_trials``
+    validates the one it returns, once, with the caller's validator."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        """Every call of the three validators, by name."""
+        calls = []
+
+        def spy(name, check):
+            def counted(*args):
+                calls.append(name)
+                check(*args)
+
+            return counted
+
+        monkeypatch.setattr(
+            Partition, "validate", spy("partition", Partition.validate)
+        )
+        # The masked and cover heuristics bind their validators by name.
+        for module_name, name in (
+            ("repro.completion.heuristic", "validate_masked_partition"),
+            ("repro.cover.greedy", "validate_cover"),
+        ):
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        return calls
+
+    @pytest.mark.parametrize(
+        "run,validator",
+        [
+            (lambda: make_heuristic("packing:4")(figure_3(), 0), "partition"),
+            (lambda: make_heuristic("packing_x:4")(figure_3(), 0), "partition"),
+            (lambda: make_heuristic("greedy:4")(figure_3(), 0), "partition"),
+            (
+                lambda: masked_row_packing(
+                    MaskedMatrix.from_strings(["1*0", "011", "1*1"]),
+                    options=PackingOptions(trials=4, seed=0),
+                ),
+                "validate_masked_partition",
+            ),
+            (
+                lambda: greedy_cover(figure_3(), trials=4, seed=0),
+                "validate_cover",
+            ),
+        ],
+        ids=["packing:4", "packing_x:4", "greedy:4", "masked", "greedy_cover"],
+    )
+    def test_each_call_validates_once(self, validations, run, validator):
+        run()
+        assert validations == [validator]

@@ -1,8 +1,14 @@
 """Unit tests for bit-mask helpers."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.utils import bitops
 from repro.utils.bitops import (
+    TRANSPOSE_BY_NUMPY_ABOVE,
     bit_indices,
     bits_from_indices,
     is_subset,
@@ -10,6 +16,7 @@ from repro.utils.bitops import (
     lowest_set_bit,
     mask_to_tuple,
     popcount,
+    transpose_masks,
 )
 
 
@@ -80,3 +87,104 @@ class TestLowestSetBit:
     def test_zero_raises(self):
         with pytest.raises(ValueError):
             lowest_set_bit(0)
+
+
+def reference_transpose(masks, width):
+    """``transpose_masks`` as it was before its numpy path: one pass
+    over the set bits."""
+    out = [0] * width
+    bit = 1
+    for mask in masks:
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= bit
+            mask ^= low
+        bit <<= 1
+    return out
+
+
+def random_masks(num_rows, width, occupancy, seed):
+    rng = random.Random(seed)
+    return [
+        sum(1 << j for j in range(width) if rng.random() < occupancy)
+        for _ in range(num_rows)
+    ]
+
+
+def with_ones(num_rows, width, ones, seed):
+    """Masks with exactly ``ones`` set bits, placed at random."""
+    masks = [0] * num_rows
+    for cell in random.Random(seed).sample(range(num_rows * width), ones):
+        masks[cell // width] |= 1 << cell % width
+    return masks
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The path each ``transpose_masks`` call takes, in call order."""
+    taken = []
+    for name in ("_transpose_by_bits", "_transpose_by_numpy"):
+        original = getattr(bitops, name)
+
+        def spy(masks, width, name=name, original=original):
+            taken.append(name)
+            return original(masks, width)
+
+        monkeypatch.setattr(bitops, name, spy)
+    return taken
+
+
+class TestTransposeMasks:
+    """Both paths against the bit loop, on shapes whose sides are and
+    are not multiples of 8."""
+
+    @pytest.mark.parametrize(
+        "num_rows,width",
+        [(0, 0), (0, 5), (5, 0), (1, 1), (7, 9), (8, 16), (10, 10),
+         (13, 17), (31, 33), (64, 64), (100, 100), (130, 70), (70, 130)],
+    )
+    def test_both_paths_match_the_bit_loop(self, num_rows, width):
+        for occupancy in (0, 0.01, 0.2, 0.5, 1):
+            masks = random_masks(num_rows, width, occupancy, seed=num_rows)
+            expected = reference_transpose(masks, width)
+            assert bitops._transpose_by_bits(masks, width) == expected
+            assert bitops._transpose_by_numpy(masks, width) == expected
+            assert transpose_masks(masks, width) == expected
+
+    @given(
+        st.integers(0, 130),
+        st.integers(0, 70),
+        st.floats(0, 1),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_shapes(self, num_rows, width, occupancy, seed):
+        masks = random_masks(num_rows, width, occupancy, seed)
+        expected = reference_transpose(masks, width)
+        assert bitops._transpose_by_numpy(masks, width) == expected
+        assert transpose_masks(masks, width) == expected
+
+    @pytest.mark.parametrize(
+        "num_rows,width,occupancy,path",
+        [
+            (10, 10, 0.01, "_transpose_by_bits"),
+            (10, 10, 0.5, "_transpose_by_bits"),
+            (100, 100, 0.01, "_transpose_by_bits"),
+            (100, 100, 0.02, "_transpose_by_bits"),
+            (100, 100, 0.2, "_transpose_by_numpy"),
+        ],
+    )
+    def test_selection(self, paths, num_rows, width, occupancy, path):
+        masks = random_masks(num_rows, width, occupancy, seed=1)
+        assert transpose_masks(masks, width) == reference_transpose(masks, width)
+        assert paths == [path]
+
+    @pytest.mark.parametrize("num_rows,width", [(10, 10), (13, 70), (100, 100)])
+    def test_either_side_of_the_crossover(self, paths, num_rows, width):
+        crossover = TRANSPOSE_BY_NUMPY_ABOVE + 2 * (num_rows + width)
+        for ones in (crossover, crossover + 1):
+            masks = with_ones(num_rows, width, ones, seed=ones)
+            assert transpose_masks(masks, width) == reference_transpose(
+                masks, width
+            )
+        assert paths == ["_transpose_by_bits", "_transpose_by_numpy"]
