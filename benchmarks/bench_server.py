@@ -1,6 +1,6 @@
-"""Benchmarks for the streaming server layer: latency, racing, sharing.
+"""Benchmarks for the streaming server layer: latency and sharing.
 
-Three measurements, appended to ``BENCH_server.json`` (directory
+Two measurements, appended to ``BENCH_server.json`` (directory
 overridable via ``REPRO_BENCH_DIR``):
 
 * **streaming vs. barriered latency-to-first-result** — a deliberately
@@ -9,10 +9,6 @@ overridable via ``REPRO_BENCH_DIR``):
   budget runs dry, while the async engine streams every fast result
   almost immediately.  The first-result latency *is* asserted: it is a
   property of the architecture, not the hardware.
-* **concurrent vs. sequential intra-instance racing** — on an instance
-  no exact backend can certify inside its slice, sequential mode pays
-  the slices serially while concurrent mode overlaps them on the wall
-  clock; the ~2x is budget arithmetic, so it is asserted (with margin).
 * **shared-cache contention** — two processes solving through one
   sharded cache directory; every entry must survive (asserted), wall
   time recorded.
@@ -110,36 +106,6 @@ def test_streaming_beats_barrier_to_first_result(root_seed):
     # back while the slow one is still burning it.
     assert first_case != "slow"
     assert first_seconds < barrier_seconds / 2
-
-
-def test_concurrent_race_overlaps_budget_slices(root_seed):
-    members = ("packing:4", "sap", "branch_bound")
-    case = [BatchItem("hard", SLOW_MATRIX, members)]
-
-    timings = {}
-    for race in ("sequential", "concurrent"):
-        began = time.perf_counter()
-        records = solve_batch(
-            case,
-            seed=root_seed,
-            budget_per_member=MEMBER_BUDGET,
-            race=race,
-            stop_when_optimal=True,
-        )
-        timings[race] = time.perf_counter() - began
-        records[0].result.partition.validate(SLOW_MATRIX)
-
-    payload = {
-        "members": list(members),
-        "member_budget_seconds": MEMBER_BUDGET,
-        "sequential_seconds": timings["sequential"],
-        "concurrent_seconds": timings["concurrent"],
-        "speedup": timings["sequential"] / timings["concurrent"],
-    }
-    record_entry("server", "racing_sequential_vs_concurrent", payload)
-    # Budget arithmetic, not hardware: two uncertifiable exact slices
-    # cost ~2 budgets serially but ~1 budget overlapped.
-    assert timings["concurrent"] <= timings["sequential"] * 0.8
 
 
 def _hammer_shared_cache(root: str, offset: int, seed: int) -> None:

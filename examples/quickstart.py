@@ -66,7 +66,7 @@ def main() -> None:
 def batch_demo() -> None:
     """Many patterns at once: the portfolio service.
 
-    ``solve_batch`` races heuristics and the exact backend per instance,
+    ``solve_batch`` runs heuristics and the exact backend per instance,
     fans instances across worker processes, and caches results by matrix
     content — re-solving the same pattern is a dictionary lookup.  The
     same service backs ``python -m repro solve-batch``.
@@ -143,9 +143,8 @@ def streaming_demo() -> None:
     :class:`AsyncSolveEngine` streams per-instance events instead —
     ``queued``, ``started``, one ``member_finished`` per portfolio
     member, then ``done`` — so a caller can act on fast instances while
-    slow ones are still solving.  ``race="concurrent"`` additionally
-    runs the exact backends as a cancel-the-losers thread race.  The
-    same engine backs ``python -m repro serve`` / ``submit``.
+    slow ones are still solving.  The same engine backs ``python -m
+    repro serve`` / ``submit``.
     """
     import asyncio
 
@@ -165,7 +164,6 @@ def streaming_demo() -> None:
             members=("trivial", "packing:8", "sap"),
             seed=2024,
             workers=2,
-            race="concurrent",
         ) as engine:
             async for event in engine.stream(patterns):
                 if event.kind == "member_finished":

@@ -39,7 +39,7 @@ from repro.core.bounds import rank_lower_bound, trivial_upper_bound
 from repro.core.fooling import fooling_number
 from repro.core.render import render_matrix, render_partition, render_side_by_side
 from repro.server.engine import EXECUTOR_KINDS
-from repro.service.portfolio import DEFAULT_PORTFOLIO, RACE_MODES
+from repro.service.portfolio import DEFAULT_PORTFOLIO
 from repro.solvers.row_packing import PackingOptions, row_packing
 from repro.solvers.sap import SapOptions, sap_solve
 
@@ -121,7 +121,6 @@ def cmd_solve_batch(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=cache,
         budget_per_instance=args.budget,
-        race=args.race,
     )
     rows = [
         [
@@ -212,7 +211,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(
                 f"{where} (workers={args.workers}, "
                 f"executor={args.executor}, "
-                f"members: {', '.join(args.members)}, race={args.race}); "
+                f"members: {', '.join(args.members)}); "
                 f"submit with: python -m repro submit PATTERN {target}",
                 flush=True,
             )
@@ -223,7 +222,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache=cache,
             budget_per_instance=args.budget,
-            race=args.race,
             executor=args.executor,
         )
         gateway = SolveGateway(
@@ -262,8 +260,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         options["seed"] = args.seed
     if args.budget is not None:
         options["budget_per_instance"] = args.budget
-    if args.race:
-        options["race"] = args.race
     if args.tenant:
         options["tenant"] = args.tenant
     if args.key:
@@ -545,10 +541,6 @@ def portfolio_flags(p: argparse.ArgumentParser) -> None:
         "concurrent runners; a single-file JSON cache at this path is "
         "migrated in place)",
     )
-    p.add_argument(
-        "--race", default="sequential", choices=RACE_MODES,
-        help="run exact backends sequentially or as a cancel-the-losers race",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -579,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser(
         "solve-batch",
-        help="race the solver portfolio over many patterns",
+        help="run the solver portfolio over many patterns",
     )
     p_batch.add_argument(
         "patterns", nargs="+", help="pattern files (one instance each)"
@@ -682,7 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=float, default=None,
         help="wall-clock budget per instance (seconds)",
     )
-    p_submit.add_argument("--race", default=None, choices=RACE_MODES)
     p_submit.add_argument(
         "--timeout", type=float, default=300.0,
         help="per-read socket timeout (seconds)",

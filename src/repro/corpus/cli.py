@@ -59,7 +59,6 @@ def _run(args: argparse.Namespace) -> ScoreboardReport:
             workers=args.workers,
             cache=cache,
             budget_per_instance=args.budget,
-            race=args.race,
         )
     finally:
         if cache is not None:

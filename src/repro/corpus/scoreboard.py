@@ -119,7 +119,6 @@ class ScoreboardReport:
     wall_seconds: float
     schema_version: int = SOLVER_SCHEMA_VERSION
     families: Tuple[str, ...] = ()
-    race: str = "sequential"
     budget_per_instance: Optional[float] = None
     extras: Dict[str, Any] = field(default_factory=dict)
 
@@ -171,7 +170,8 @@ class ScoreboardReport:
             "profile": self.profile,
             "seed": self.seed,
             "members": list(self.members),
-            "race": self.race,
+            # Kept as a literal: every report written so far has the key.
+            "race": "sequential",
             "families": list(self.families),
             "rows": [
                 row.as_dict(include_timing=include_timing)
@@ -195,7 +195,6 @@ def run_scoreboard(
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     budget_per_instance: Optional[float] = None,
-    race: str = "sequential",
     instances: Optional[Sequence[CorpusInstance]] = None,
 ) -> ScoreboardReport:
     """Solve the corpus with the portfolio and score every instance.
@@ -220,7 +219,6 @@ def run_scoreboard(
         workers=workers,
         cache=cache,
         budget_per_instance=budget_per_instance,
-        race=race,
     )
     by_id = {instance.case_id: instance for instance in instances}
     tally = WinTally()
@@ -241,7 +239,6 @@ def run_scoreboard(
         tally=tally,
         wall_seconds=time.perf_counter() - began,
         families=tuple(family_order),
-        race=race,
         budget_per_instance=budget_per_instance,
     )
 
@@ -282,6 +279,5 @@ def report_from_dict(payload: Dict[str, Any]) -> ScoreboardReport:
         wall_seconds=payload.get("wall_seconds", 0.0),
         schema_version=payload.get("schema_version", 1),
         families=tuple(payload.get("families", ())),
-        race=payload.get("race", "sequential"),
         budget_per_instance=payload.get("budget_per_instance"),
     )

@@ -20,7 +20,7 @@ ENV_FULL = "REPRO_FULL"
 ENV_WORKERS = "REPRO_WORKERS"
 
 CERTIFIER_MEMBER = "sap"
-"""The exact backend experiment runners race alongside the heuristics."""
+"""The exact backend experiment runners run after the heuristics."""
 
 
 def resolve_scale(explicit: Optional[str] = None) -> str:
@@ -48,8 +48,8 @@ def service_members(
     """Portfolio member list for one experiment instance.
 
     Heuristic columns run first (their depths feed the per-column
-    tables); with ``certify`` the exact SAP backend closes the race and
-    proves the optimum.
+    tables); with ``certify`` the exact SAP backend closes the portfolio
+    and proves the optimum.
     """
     members = tuple(heuristics)
     if certify and CERTIFIER_MEMBER not in members:

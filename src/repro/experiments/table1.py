@@ -193,7 +193,7 @@ def _record_from_result(
 def evaluate_case(
     case: BenchmarkCase, config: Table1Config
 ) -> CaseRecord:
-    """Race every heuristic (plus the certifier) on one instance."""
+    """Run every heuristic (plus the certifier) on one instance."""
     result = solve_portfolio(
         case.matrix,
         members=_case_members(case, config),

@@ -23,9 +23,6 @@ turns a *stream of requests* into a *stream of results*:
 * :mod:`client` — the synchronous client (``python -m repro submit``)
   for either transport.
 
-Intra-instance racing lives in :mod:`repro.service.racing`;
-:class:`RaceToken` and :func:`race_members` are re-exported here.
-
 The serving stack is fault-tolerant end to end: a dead worker is
 respawned and only the case it was solving is re-dispatched
 (``worker_crashed`` events, results marked ``status="retried"``),
@@ -71,7 +68,6 @@ from repro.server.tenancy import (
     TenantConfig,
     TenantRegistry,
 )
-from repro.service.racing import RaceToken, race_members
 from repro.utils.fileio import atomic_write_json, locked_file
 
 __all__ = [
@@ -88,7 +84,6 @@ __all__ = [
     "HEALTH_READY",
     "MEMBER_FINISHED",
     "QUEUED",
-    "RaceToken",
     "RequestRejected",
     "RetryPolicy",
     "STARTED",
@@ -105,5 +100,4 @@ __all__ = [
     "atomic_write_json",
     "locked_file",
     "quarantine_file",
-    "race_members",
 ]

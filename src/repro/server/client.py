@@ -339,12 +339,12 @@ def submit(
 
     ``options`` are the request-level fields the server accepts: the
     engine overrides (``members``, ``seed``, ``budget_per_instance``,
-    ``budget_per_member``, ``stop_when_optimal``, ``race``) plus the
-    tenancy fields (``tenant``, ``key``, ``priority``).  Error events
-    raise :class:`DaemonError` (with ``retry_after`` populated on
-    admission rejections); the terminating ``batch_done`` line is
-    yielded last so callers can read the completion counts, and a
-    stream that ends without it raises :class:`StreamInterrupted`.
+    ``budget_per_member``, ``stop_when_optimal``) plus the tenancy
+    fields (``tenant``, ``key``, ``priority``).  Error events raise
+    :class:`DaemonError` (with ``retry_after`` populated on admission
+    rejections); the terminating ``batch_done`` line is yielded last so
+    callers can read the completion counts, and a stream that ends
+    without it raises :class:`StreamInterrupted`.
 
     With a :class:`RetryPolicy`, transient failures — connection
     refused, admission rejections carrying ``retry_after``, and

@@ -48,6 +48,7 @@ import asyncio
 import concurrent.futures
 import functools
 import logging
+import threading
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -78,7 +79,6 @@ from repro.service.portfolio import (
     result_from_dict,
 )
 from repro.service.pool import WORKER_CRASHED, WorkerPool, solve_case
-from repro.service.racing import RaceToken
 from repro.service.stats import WinTally
 
 EXECUTOR_KINDS = ("thread", "process")
@@ -147,13 +147,13 @@ def cancellation_affected(result: PortfolioResult) -> bool:
 
     A cancel that lands *after* the solve finished leaves a complete
     result — throwing it away (and not caching it) would waste the work
-    already paid for.  Conservative in the other direction: an exact
-    member that finished unproven without an error may have absorbed
-    the cancel silently mid-descent, so it counts as affected.
+    already paid for.  An error that says ``cancelled`` comes from a
+    member skipped under the flag or from a branch-and-bound search the
+    flag stopped.  Conservative in the other direction: an exact member
+    that finished unproven without an error may have absorbed the
+    cancel silently mid-descent, so it counts as affected.
     """
     for outcome in result.outcomes:
-        if outcome.skipped and outcome.error == "cancelled":
-            return True
         if outcome.error is not None and "cancelled" in outcome.error:
             return True
         if outcome.stopped_early:
@@ -186,7 +186,6 @@ class AsyncSolveEngine:
         budget_per_instance: Optional[float] = None,
         budget_per_member: Optional[float] = None,
         stop_when_optimal: bool = True,
-        race: str = "sequential",
         executor: str = "thread",
     ) -> None:
         if workers < 1:
@@ -201,7 +200,6 @@ class AsyncSolveEngine:
             budget_per_instance,
             budget_per_member,
             stop_when_optimal,
-            race,
         )
         self.workers = workers
         self.cache = cache
@@ -210,7 +208,7 @@ class AsyncSolveEngine:
         self._pool: Optional[WorkerPool] = None
         self._semaphore: Optional[asyncio.Semaphore] = None
         self._semaphore_loop: Optional[asyncio.AbstractEventLoop] = None
-        self._active: Dict[str, RaceToken] = {}
+        self._active: Dict[str, threading.Event] = {}
         self._cache_hits = 0
         self._failed = 0
         self._cancelled = 0
@@ -296,7 +294,6 @@ class AsyncSolveEngine:
         payload: Dict[str, Any] = {
             "members": list(self.members),
             "workers": self.workers,
-            "race": self._defaults.race,
             "executor": self.executor_kind,
             "active": len(self._active),
             "cache_hits": self._cache_hits,
@@ -327,7 +324,6 @@ class AsyncSolveEngine:
         budget_per_instance: Optional[float] = None,
         budget_per_member: Optional[float] = None,
         stop_when_optimal: Optional[bool] = None,
-        race: Optional[str] = None,
     ) -> AsyncIterator[SolveEvent]:
         """Yield events for ``cases`` as instances progress.
 
@@ -345,7 +341,6 @@ class AsyncSolveEngine:
             "budget_per_instance": budget_per_instance,
             "budget_per_member": budget_per_member,
             "stop_when_optimal": stop_when_optimal,
-            "race": race,
         }
         options = replace(
             self._defaults,
@@ -357,10 +352,10 @@ class AsyncSolveEngine:
         faults.resolve_kill_case([item.case_id for item in items])
 
         queue: "asyncio.Queue[SolveEvent]" = asyncio.Queue()
-        tokens: Dict[str, RaceToken] = {}
+        tokens: Dict[str, threading.Event] = {}
         tasks: List[asyncio.Task] = []
         for item in items:
-            token = RaceToken()
+            token = threading.Event()
             tokens[item.case_id] = token
             self._active[item.case_id] = token
             tasks.append(
@@ -425,7 +420,7 @@ class AsyncSolveEngine:
         item: BatchItem,
         options: SolveOptions,
         queue: "asyncio.Queue[SolveEvent]",
-        token: RaceToken,
+        token: threading.Event,
     ) -> None:
         case_id = item.case_id
         queue.put_nowait(SolveEvent(kind=QUEUED, case_id=case_id))
@@ -515,7 +510,7 @@ class AsyncSolveEngine:
         item: BatchItem,
         options: SolveOptions,
         queue: "asyncio.Queue[SolveEvent]",
-        token: RaceToken,
+        token: threading.Event,
     ) -> Tuple[PortfolioResult, bool]:
         """Solve one instance; returns ``(result, was_retried)``.
 

@@ -17,7 +17,7 @@ of a connection)::
     {"op": "solve", "cases": [{"case_id": "a", "rows": ["110", "011"]}],
      "tenant": "acme", "key": "s3cret", "priority": 3,
      "members": ["trivial", "packing:8", "sap"], "seed": 7,
-     "budget_per_instance": 10.0, "race": "concurrent"}
+     "budget_per_instance": 10.0}
 
 Solve responses stream one line per event (``queued`` / ``started`` /
 ``member_finished`` / ``done`` / ``cancelled`` / ``failed``) and close
@@ -177,13 +177,19 @@ def parse_case(payload: Dict[str, Any], index: int) -> BatchItem:
 def validate_overrides(request: Dict[str, Any]) -> Dict[str, Any]:
     """Type-check the per-request engine overrides *before* solving.
 
-    A string budget or an unknown race mode used to surface as a
-    ``TypeError`` deep inside the engine after events had already
-    streamed — the connection just died.  Checking the wire values by
-    building a :class:`SolveOptions` turns every malformed override into
-    a clean ``error`` event.  Budgets come back as floats, members as a
-    tuple.
+    A string budget used to surface as a ``TypeError`` deep inside the
+    engine after events had already streamed — the connection just
+    died.  Checking the wire values by building a :class:`SolveOptions`
+    turns every malformed override into a clean ``error`` event.
+    Budgets come back as floats, members as a tuple.  A ``race`` field
+    is refused rather than ignored: members always run one after
+    another, in spec order, and a client that asks otherwise must hear
+    so.
     """
+    if "race" in request:
+        raise SolverError(
+            "'race' is not a solve option: members run one after another"
+        )
     overrides = {
         key: request[key]
         for key in SOLVE_OVERRIDES

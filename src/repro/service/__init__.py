@@ -1,13 +1,12 @@
 """Portfolio solver service: batched, parallel, cached EBMF solving.
 
 The layer between the solver library and traffic: per-instance solver
-races with provenance (:mod:`portfolio`; the concurrent exact-backend
-race is :mod:`racing`), batch fan-out (:mod:`batch`) over the one
-crash-isolating worker pool (:mod:`pool`), a content-addressed result
-cache (:mod:`cache`), shared wall-clock accounting (:mod:`budget`), the
-solver-config schema version that keys caches and baselines
-(:mod:`schema`), and per-solver win accounting shared with the server
-metrics ops (:mod:`stats`).
+portfolios with provenance (:mod:`portfolio`), batch fan-out
+(:mod:`batch`) over the one crash-isolating worker pool (:mod:`pool`),
+a content-addressed result cache (:mod:`cache`), shared wall-clock
+accounting (:mod:`budget`), the solver-config schema version that keys
+caches and baselines (:mod:`schema`), and per-solver win accounting
+shared with the server metrics ops (:mod:`stats`).
 """
 
 from repro.service.batch import (
@@ -25,7 +24,6 @@ from repro.service.stats import WinTally
 from repro.service.portfolio import (
     DEFAULT_PORTFOLIO,
     EXACT_MEMBERS,
-    RACE_MODES,
     MemberOutcome,
     PortfolioResult,
     is_exact_member,
@@ -46,7 +44,6 @@ __all__ = [
     "MemberOutcome",
     "PortfolioBudget",
     "PortfolioResult",
-    "RACE_MODES",
     "ResultCache",
     "SOLVER_SCHEMA_VERSION",
     "WinTally",

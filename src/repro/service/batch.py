@@ -9,7 +9,7 @@ including the in-process ``workers=1`` path.
 
 :class:`SolveOptions` holds a solve's configuration for ``solve_batch``,
 the streaming :class:`repro.server.engine.AsyncSolveEngine` and the
-gateway's request check alike: it validates the six options and turns
+gateway's request check alike: it validates the five options and turns
 an item into its cache-key context and its worker payload, which
 :func:`repro.service.pool.solve_case` solves on every executor.
 
@@ -49,7 +49,6 @@ from repro.service.pool import FaultCallback, Payload, WorkerPool, solve_case
 from repro.service.schema import SOLVER_SCHEMA_VERSION
 from repro.service.portfolio import (
     DEFAULT_PORTFOLIO,
-    RACE_MODES,
     PortfolioResult,
     result_from_dict,
     validate_members,
@@ -126,7 +125,6 @@ def solve_context(
     budget_total: Optional[float],
     budget_per_member: Optional[float],
     stop_when_optimal: bool,
-    race: str = "sequential",
 ) -> str:
     """Cache-key context for one configured solve.
 
@@ -136,17 +134,13 @@ def solve_context(
     :data:`~repro.service.schema.SOLVER_SCHEMA_VERSION`, so bumping the
     schema retires every previously cached result at once — stale
     entries stop hitting instead of masquerading as fresh scoreboard
-    wins.  Concurrent racing gets its own key space (per-member records
-    legitimately differ between race modes).
+    wins.
     """
-    context = (
+    return (
         f"schema={SOLVER_SCHEMA_VERSION}"
         f"|members={','.join(members)}|seed={seed}|total={budget_total}"
         f"|per={budget_per_member}|stop={stop_when_optimal}"
     )
-    if race != "sequential":
-        context += f"|race={race}"
-    return context
 
 
 def _number(value: Any, kind: type) -> bool:
@@ -167,7 +161,6 @@ _OPTION_CHECKS = {
     "budget_per_instance": ("a number of seconds >= 0", _seconds),
     "budget_per_member": ("a number of seconds >= 0", _seconds),
     "stop_when_optimal": ("a boolean", lambda value: isinstance(value, bool)),
-    "race": (f"one of {RACE_MODES}", lambda value: value in RACE_MODES),
 }
 
 
@@ -185,7 +178,6 @@ class SolveOptions:
     budget_per_instance: Optional[float] = None
     budget_per_member: Optional[float] = None
     stop_when_optimal: bool = True
-    race: str = "sequential"
 
     def __post_init__(self) -> None:
         members = self.members
@@ -213,7 +205,6 @@ class SolveOptions:
             self.budget_per_instance,
             self.budget_per_member,
             self.stop_when_optimal,
-            self.race,
         )
 
     def payload(self, item: BatchItem) -> Payload:
@@ -227,7 +218,6 @@ class SolveOptions:
             self.budget_per_instance,
             self.budget_per_member,
             self.stop_when_optimal,
-            self.race,
         )
 
 
@@ -281,7 +271,6 @@ def solve_batch(
     budget_per_instance: BudgetLike = None,
     budget_per_member: Optional[float] = None,
     stop_when_optimal: bool = True,
-    race: str = "sequential",
     on_fault: Optional[FaultCallback] = None,
 ) -> List[BatchRecord]:
     """Solve every case with the portfolio, in input order.
@@ -291,10 +280,8 @@ def solve_batch(
     :class:`~repro.service.pool.WorkerPool`) and written back, and the
     cache's disk tier is flushed once at the end.  Records come back in
     input order regardless of completion order.  ``budget_per_instance``
-    caps one instance's whole race, ``budget_per_member`` one solver
-    within it; ``race="concurrent"`` turns each instance's exact-backend
-    slice into a cancel-the-losers thread race (see
-    :mod:`repro.service.racing`).
+    caps one instance's whole portfolio, ``budget_per_member`` one
+    solver within it.
 
     Worker death does not sink the batch: the lost case is re-solved on
     a respawned worker and its record comes back ``status="retried"``
@@ -311,7 +298,7 @@ def solve_batch(
         if budget_per_member is None:
             budget_per_member = pot.per_member_seconds
     options = SolveOptions(
-        members, seed, total, budget_per_member, stop_when_optimal, race
+        members, seed, total, budget_per_member, stop_when_optimal
     )
     items = as_batch_items(cases, members=options.members)
 

@@ -1,16 +1,16 @@
 """Shared wall-clock accounting for portfolio members and tenants.
 
 A :class:`PortfolioBudget` is one pot of wall-clock seconds that every
-member of a portfolio race draws from.  Members are cooperative (the
+member of a portfolio draws from.  Members are cooperative (the
 solvers poll :class:`repro.utils.timing.Deadline` at convenient points),
 so the budget hands each member the smaller of its per-member slice and
 whatever remains of the total, and keeps a ledger of who spent what —
 the ledger feeds the provenance records of
 :mod:`repro.service.portfolio`.
 
-One level up, where a ``PortfolioBudget`` meters one race, a
+One level up, where a ``PortfolioBudget`` meters one solve, a
 :class:`QuotaWindow` meters one *tenant* of the solve service across
-many races — a rolling window of compute seconds that refills on a
+many solves — a rolling window of compute seconds that refills on a
 fixed cadence.  It is the accounting substrate of
 :mod:`repro.server.tenancy`.
 """
@@ -32,7 +32,7 @@ class PortfolioBudget:
     ``total_seconds=None`` means unlimited; ``per_member_seconds`` caps
     any single member regardless of what remains in the pot.  The clock
     starts at construction, so build the budget immediately before the
-    race it governs.
+    solve it governs.
     """
 
     def __init__(

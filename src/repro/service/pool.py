@@ -66,8 +66,8 @@ a poison pill."""
 
 Payload = Tuple[Any, ...]
 """``(case_id, row masks, num_cols, members, instance seed, per-instance
-budget, per-member budget, stop_when_optimal, race mode)``: plain
-picklable values, never live objects.  Only
+budget, per-member budget, stop_when_optimal)``: plain picklable
+values, never live objects.  Only
 :meth:`repro.service.batch.SolveOptions.payload` builds one."""
 
 FaultCallback = Callable[[Dict[str, Any]], None]
@@ -96,7 +96,6 @@ def solve_case(
         total,
         per_member,
         stop,
-        race,
     ) = payload
     # Fault seams: no-ops unless a FaultPlan is installed (chaos tests).
     faults.maybe_kill_worker(case_id)
@@ -107,7 +106,6 @@ def solve_case(
         seed=seed,
         budget=PortfolioBudget(total, per_member_seconds=per_member),
         stop_when_optimal=stop,
-        race=race,
         cancel=cancel,
         on_member=on_member,
     )

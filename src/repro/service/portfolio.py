@@ -1,12 +1,13 @@
-"""Portfolio solving: race heuristics and exact backends per instance.
+"""Portfolio solving: heuristics, then exact backends, per instance.
 
 The paper solves each EBMF instance with one solver at a time; a
 production service wants the standard portfolio recipe instead (cf.
 Rosenbaum 2013; Goubault de Brugiere & Martiel 2023): run the cheap
-heuristics first, feed their best depth to the exact backends as an
-upper hint, stop as soon as optimality is certified, and record *who*
-won and *how long* everyone took.  :func:`solve_portfolio` is that
-recipe for one matrix; :mod:`repro.service.batch` fans it over many.
+heuristics first, then the exact backends one after another (the
+running best is ``branch_bound``'s upper hint), stop as soon as
+optimality is certified, and record *who* won and *how long* everyone
+took.  :func:`solve_portfolio` is that recipe for one matrix;
+:mod:`repro.service.batch` fans it over many.
 
 Member specs
 ------------
@@ -40,7 +41,6 @@ from repro.core.partition import Partition
 from repro.io import partition_from_dict, partition_to_dict
 from repro.sat.solver import SolveStatus
 from repro.service.budget import BudgetLike, PortfolioBudget
-from repro.service.racing import race_members
 from repro.solvers.branch_bound import binary_rank_branch_bound
 from repro.solvers.registry import make_heuristic
 from repro.solvers.sap import SapOptions, sap_solve
@@ -55,11 +55,6 @@ DEFAULT_PORTFOLIO = ("trivial", "packing:32", "sap")
 
 CERTIFIED_BY_RANK = "rank-bound"
 """Certifier label when the Eq. 3 lower bound alone proves optimality."""
-
-RACE_MODES = ("sequential", "concurrent")
-"""``sequential`` runs members one after another (the paper's recipe);
-``concurrent`` races the exact backends in threads and cancels losers —
-see :mod:`repro.service.racing`."""
 
 RESULT_FORMAT_VERSION = 1
 
@@ -152,7 +147,7 @@ class MemberOutcome:
 
 @dataclass
 class PortfolioResult:
-    """Best partition found plus full provenance of the race."""
+    """Best partition found plus full provenance of the solve."""
 
     partition: Partition
     winner: str
@@ -205,27 +200,6 @@ class PortfolioResult:
         if include_timing:
             payload["wall_seconds"] = self.wall_seconds
         return payload
-
-    def race_provenance(self) -> Dict[str, Any]:
-        """The race-mode-invariant slice of the provenance.
-
-        Winner, optimality, depth, bounds and certifier are resolved in
-        member-spec order (never in completion order), so for portfolios
-        that list heuristics before the exact backends this projection
-        is byte-identical between ``race="sequential"`` and
-        ``race="concurrent"`` — the regression contract of
-        :mod:`repro.service.racing`.  Per-member records are excluded:
-        a cancelled loser legitimately looks different from a skipped
-        one.
-        """
-        return {
-            "depth": self.depth,
-            "winner": self.winner,
-            "optimal": self.optimal,
-            "lower_bound": self.lower_bound,
-            "certifier": self.certifier,
-            "seed": self.seed,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +297,7 @@ def run_member(
     heuristics (``trivial_partition`` and ``best_of_trials``) validate
     theirs on ``matrix`` before they return it.  Never raises on solver
     failure: budget exhaustion and invalid output become ``error`` on
-    the outcome so one bad member cannot take down the race.
+    the outcome so one bad member cannot take down the solve.
     ``cancel`` (an ``is_set()``-style flag) is forwarded to the exact
     backends, which poll it alongside their time budgets.
     """
@@ -387,69 +361,8 @@ def run_member(
 
 
 # ----------------------------------------------------------------------
-# The race
+# The portfolio
 # ----------------------------------------------------------------------
-def _replay(
-    outcomes: Sequence[MemberOutcome], lower: int
-) -> Tuple[Optional[Partition], Optional[str], Optional[str]]:
-    """(best, winner, certifier) from outcomes, in the order given.
-
-    One rule set for both race modes: first strict depth improvement
-    wins, first optimality proof certifies, the Eq. 3 rank bound
-    certifies as soon as the running best matches it.
-    """
-    best: Optional[Partition] = None
-    winner: Optional[str] = None
-    certifier: Optional[str] = None
-    for outcome in outcomes:
-        if outcome.partition is not None and (
-            best is None or outcome.partition.depth < best.depth
-        ):
-            best = outcome.partition
-            winner = outcome.name
-        if outcome.proved_optimal and certifier is None:
-            certifier = outcome.name
-        if best is not None and best.depth <= lower and certifier is None:
-            certifier = CERTIFIED_BY_RANK
-    return best, winner, certifier
-
-
-def _resolve(
-    matrix: BinaryMatrix,
-    members: Sequence[str],
-    outcomes: List[MemberOutcome],
-    lower: int,
-    *,
-    on_member: Optional[MemberCallback] = None,
-) -> Tuple[Partition, str, Optional[str], List[MemberOutcome]]:
-    """Winner / certifier / best partition from a full outcome list.
-
-    Replays the rules in *member-spec order* — never in completion
-    order — so the verdict cannot depend on which racer physically
-    finished first; that is what makes concurrent racing reproducible.
-    """
-    best, winner, certifier = _replay(outcomes, lower)
-
-    if best is None:
-        # Every member failed or was starved; the trivial partition is
-        # free and always valid, so the service still returns a result.
-        best = trivial_partition(matrix)
-        winner = "trivial"
-        if best.depth <= lower and certifier is None:
-            certifier = CERTIFIED_BY_RANK
-        fallback = MemberOutcome(
-            name="trivial",
-            depth=best.depth,
-            seconds=0.0,
-            error="fallback: no member produced a partition",
-            partition=best,
-        )
-        outcomes.append(fallback)
-        if on_member is not None:
-            on_member(fallback)
-    return best, winner or members[0], certifier, outcomes
-
-
 def _skipped(name: str, error: Optional[str] = None) -> MemberOutcome:
     return MemberOutcome(
         name=name, depth=None, seconds=0.0, skipped=True, error=error
@@ -465,9 +378,18 @@ def _run_sequential(
     stop_when_optimal: bool,
     cancel: Optional[object],
     on_member: Optional[MemberCallback],
-) -> List[MemberOutcome]:
-    """The paper's recipe: members one after another, early exit on proof."""
+) -> Tuple[
+    Optional[Partition], Optional[str], Optional[str], List[MemberOutcome]
+]:
+    """The paper's recipe: members one after another, early exit on proof.
+
+    Returns ``(best, winner, certifier, outcomes)``.  The first strict
+    depth improvement wins, the first optimality proof certifies, and
+    the Eq. 3 rank bound certifies as soon as the running best matches
+    it.
+    """
     best: Optional[Partition] = None
+    winner: Optional[str] = None
     certifier: Optional[str] = None
     outcomes: List[MemberOutcome] = []
 
@@ -500,84 +422,36 @@ def _run_sequential(
             best is None or outcome.partition.depth < best.depth
         ):
             best = outcome.partition
+            winner = outcome.name
         if outcome.proved_optimal and certifier is None:
             certifier = outcome.name
         if best is not None and best.depth <= lower and certifier is None:
             certifier = CERTIFIED_BY_RANK
-    return outcomes
+    return best, winner, certifier, outcomes
 
 
-def _run_concurrent(
+def _resolve(
     matrix: BinaryMatrix,
-    members: Sequence[str],
-    seed: Optional[int],
-    pot: PortfolioBudget,
-    lower: int,
-    stop_when_optimal: bool,
-    cancel: Optional[object],
+    outcomes: List[MemberOutcome],
     on_member: Optional[MemberCallback],
-) -> List[MemberOutcome]:
-    """Heuristics sequentially, then the exact backends as a thread race.
+) -> Partition:
+    """The trivial fallback, recorded as one more outcome.
 
-    The heuristic members are microseconds each, so they are hoisted in
-    front of the race in spec order (their best depth seeds the racers'
-    upper hint).  The exact members then run concurrently; the moment
-    one certifies optimality, every racer *later in spec order* is
-    cancelled — earlier racers are left to finish, which keeps the
-    resolved certifier deterministic (see :func:`_resolve`).  For
-    portfolios that list heuristics before exacts (every built-in
-    portfolio does) the winner/optimality provenance is identical to
-    sequential mode.
+    Every member failed or was starved; the trivial partition is free
+    and always valid, so the service still returns a result.
     """
-    exact_names = [name for name in members if is_exact_member(name)]
-    heuristic_names = [
-        name for name in members if not is_exact_member(name)
-    ]
-
-    # The heuristic prefix is exactly a sequential sub-portfolio: same
-    # skip/cancel/budget rules, same ledger — one copy of the logic.
-    heuristic_outcomes = _run_sequential(
-        matrix, heuristic_names, seed, pot, lower, stop_when_optimal,
-        cancel, on_member=None,
+    best = trivial_partition(matrix)
+    fallback = MemberOutcome(
+        name="trivial",
+        depth=best.depth,
+        seconds=0.0,
+        error="fallback: no member produced a partition",
+        partition=best,
     )
-    by_name: Dict[str, MemberOutcome] = {
-        outcome.name: outcome for outcome in heuristic_outcomes
-    }
-    best, _, certifier = _replay(heuristic_outcomes, lower)
-
-    if exact_names:
-        if stop_when_optimal and certifier is not None:
-            for name in exact_names:
-                by_name[name] = _skipped(name)
-        elif cancel is not None and cancel.is_set():
-            for name in exact_names:
-                by_name[name] = _skipped(name, error="cancelled")
-        elif pot.expired():
-            for name in exact_names:
-                by_name[name] = _skipped(
-                    name, error="portfolio budget exhausted"
-                )
-        else:
-            raced = race_members(
-                matrix,
-                exact_names,
-                seeds={
-                    name: member_seed(seed, name) for name in exact_names
-                },
-                time_budget=pot.member_budget(),
-                upper_hint=best,
-                cancel=cancel,
-                cancel_losers=stop_when_optimal,
-            )
-            for outcome in raced:
-                pot.charge(outcome.name, outcome.seconds)
-                by_name[outcome.name] = outcome
-
-    ordered = [by_name[name] for name in members]
+    outcomes.append(fallback)
     if on_member is not None:
-        for outcome in ordered:
-            on_member(outcome)
-    return ordered
+        on_member(fallback)
+    return best
 
 
 def solve_portfolio(
@@ -587,43 +461,37 @@ def solve_portfolio(
     seed: Optional[int] = None,
     budget: BudgetLike = None,
     stop_when_optimal: bool = True,
-    race: str = "sequential",
     cancel: Optional[object] = None,
     on_member: Optional[MemberCallback] = None,
 ) -> PortfolioResult:
-    """Race ``members`` on ``matrix`` and return the best partition found.
+    """Run ``members`` on ``matrix`` and return the best partition found.
 
-    With ``race="sequential"`` members run in the given order, each with
-    a slice of the shared ``budget``; with ``race="concurrent"`` the
-    exact backends run as a thread race and losers are cancelled (see
-    :mod:`repro.service.racing`).  Every member gets a seed derived
-    deterministically from ``seed`` and its own name (so results do not
-    depend on member order or on how instances are distributed over
-    batch workers).  With ``stop_when_optimal`` the race short-circuits
-    once the best depth is certified — either by an exact member's
-    proof or by matching the Eq. 3 rank lower bound; remaining members
-    are recorded as skipped.  ``cancel`` (``is_set()``-style) aborts
-    the whole race cooperatively; ``on_member`` is called with each
+    Members run in the given order, each with a slice of the shared
+    ``budget``.  Every member gets a seed derived deterministically
+    from ``seed`` and its own name (so results do not depend on member
+    order or on how instances are distributed over batch workers).
+    With ``stop_when_optimal`` the portfolio stops once the best depth
+    is certified — either by an exact member's proof or by matching
+    the Eq. 3 rank lower bound; remaining members are recorded as
+    skipped.  ``cancel`` (``is_set()``-style) aborts the whole solve
+    cooperatively; ``on_member`` is called with each
     :class:`MemberOutcome` as it is recorded — the streaming-event hook
     of :class:`repro.server.engine.AsyncSolveEngine`.
     """
-    if race not in RACE_MODES:
-        raise SolverError(
-            f"race must be one of {RACE_MODES}, got {race!r}"
-        )
     validate_members(members)
     pot = PortfolioBudget.coerce(budget)
     began = time.perf_counter()
     lower = rank_lower_bound(matrix)
 
-    runner = _run_concurrent if race == "concurrent" else _run_sequential
-    outcomes = runner(
+    best, winner, certifier, outcomes = _run_sequential(
         matrix, members, seed, pot, lower, stop_when_optimal, cancel,
         on_member,
     )
-    best, winner, certifier, outcomes = _resolve(
-        matrix, members, outcomes, lower, on_member=on_member
-    )
+    if best is None:
+        best = _resolve(matrix, outcomes, on_member)
+        winner = "trivial"
+        if best.depth <= lower and certifier is None:
+            certifier = CERTIFIED_BY_RANK
 
     return PortfolioResult(
         partition=best,
@@ -635,4 +503,3 @@ def solve_portfolio(
         wall_seconds=time.perf_counter() - began,
         outcomes=tuple(outcomes),
     )
-

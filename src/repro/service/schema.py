@@ -1,8 +1,8 @@
 """The solver-configuration schema version.
 
 One integer names the semantics of a configured portfolio solve: which
-fields go into a cache key, how per-member seeds are derived, what the
-race modes mean.  It is folded into every
+fields go into a cache key and how per-member seeds are derived.  It is
+folded into every
 :func:`repro.service.batch.solve_context` (and therefore into every
 :class:`repro.service.cache.ResultCache` key) and recorded in every
 scoreboard baseline (:mod:`repro.corpus.baseline`), so results computed

@@ -67,8 +67,8 @@ def binary_rank_branch_bound(
     Raises :class:`BudgetExceeded` if a budget runs out before the search
     space is exhausted, or if ``cancel`` (an ``is_set()``-style flag,
     polled every 64 nodes alongside the time budget) is raised — the
-    hook that lets a concurrent portfolio race kill the exponential tail
-    the moment another backend certifies optimality.
+    hook that lets a streaming server cut the exponential tail short
+    when its client cancels the solve.
     """
     cells: List[Cell] = list(matrix.ones())
     if not cells:

@@ -62,10 +62,10 @@ class Deadline:
     ``None`` seconds means "no limit".  Solvers poll :meth:`expired` at
     convenient points; this is cooperative, not preemptive.  ``cancel``
     is any object with an ``is_set() -> bool`` method (e.g. a
-    ``threading.Event`` or :class:`repro.service.racing.RaceToken`); once
-    it reads true the deadline counts as expired with zero time left,
-    which lets a portfolio race or a streaming server abort a solver
-    mid-flight through the same polling points the time budget uses.
+    ``threading.Event``); once it reads true the deadline counts as
+    expired with zero time left, which lets a streaming server abort a
+    solver mid-flight through the same polling points the time budget
+    uses.
     """
 
     def __init__(

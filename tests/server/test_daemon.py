@@ -78,7 +78,7 @@ class TestOps:
     def test_solve_streams_events_and_terminates(self, daemon):
         cases = [("fig1b", figure_1b()), ("eq2", equation_2())]
         events = list(
-            client.submit(daemon, cases, timeout=30, race="concurrent")
+            client.submit(daemon, cases, timeout=30)
         )
         kinds = [e["event"] for e in events]
         assert kinds[-1] == "batch_done"

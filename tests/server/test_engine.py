@@ -7,6 +7,7 @@ tests/conftest.py (no pytest-asyncio).
 import asyncio
 import errno
 import os
+import threading
 
 import pytest
 
@@ -303,7 +304,6 @@ class TestCancellation:
     def test_cancellation_affected_policy(self):
         """Late cancels keep complete results; true aborts drop them."""
         from repro.server.engine import cancellation_affected
-        from repro.service.racing import RaceToken
         from repro.service.portfolio import solve_portfolio
 
         # Untouched solve: complete, must be kept (cached / done).
@@ -313,7 +313,7 @@ class TestCancellation:
         assert not cancellation_affected(clean)
 
         # Cancel observed before members ran: skipped markers -> affected.
-        token = RaceToken()
+        token = threading.Event()
         token.set()
         aborted = solve_portfolio(
             FAST_MATRICES[2], members=MEMBERS, seed=7, cancel=token
@@ -332,10 +332,6 @@ class TestValidation:
     def test_bad_workers_rejected(self):
         with pytest.raises(SolverError):
             AsyncSolveEngine(workers=0)
-
-    def test_bad_race_rejected(self):
-        with pytest.raises(SolverError):
-            AsyncSolveEngine(race="warp")
 
     def test_bad_executor_rejected(self):
         with pytest.raises(SolverError):

@@ -297,6 +297,7 @@ class TestFailurePaths:
             {"budget_per_instance": "lots"},
             {"members": []},
             {"race": "warp"},
+            {"race": "sequential"},
             {"seed": "seven"},
             {"priority": "first"},
         ):
@@ -536,7 +537,6 @@ class TestRequestParsing:
                 "seed": 11,
                 "budget_per_instance": 2,
                 "stop_when_optimal": False,
-                "race": "concurrent",
                 "cases": [],  # not an override; ignored
             }
         )
@@ -551,10 +551,15 @@ class TestRequestParsing:
             {"budget_per_member": -1},
             {"stop_when_optimal": "yes"},
             {"race": "warp"},
+            {"race": "sequential"},
         ]
         for request in bad:
             with pytest.raises(SolverError):
                 validate_overrides(request)
+
+    def test_race_is_refused_by_name(self):
+        with pytest.raises(SolverError, match="'race' is not a solve option"):
+            validate_overrides({"race": "sequential"})
 
     def test_priority_clamps_to_tenant_class(self):
         tenant = TenantState(TenantConfig("t", priority=5))

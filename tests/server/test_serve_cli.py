@@ -22,7 +22,7 @@ from repro.cli import build_parser, main
 from repro.core.exceptions import SolverError
 from repro.corpus.registry import family_names
 from repro.server import client
-from repro.service.portfolio import DEFAULT_PORTFOLIO, RACE_MODES
+from repro.service.portfolio import DEFAULT_PORTFOLIO
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -150,16 +150,6 @@ class TestPortfolioFlags:
     )
     def test_members_default_to_the_library_portfolio(self, argv):
         assert build_parser().parse_args(argv).members == DEFAULT_PORTFOLIO
-
-    @pytest.mark.parametrize(
-        "argv", [*PORTFOLIO_COMMANDS, ["submit", "p.txt"]], ids=_name
-    )
-    def test_race_accepts_the_library_modes(self, argv):
-        parser = build_parser()
-        for mode in RACE_MODES:
-            assert parser.parse_args([*argv, "--race", mode]).race == mode
-        with pytest.raises(SystemExit):
-            parser.parse_args([*argv, "--race", "warp"])
 
     @pytest.mark.parametrize(
         "argv", [["scoreboard", "run"], ["cache", "prewarm", "d"]], ids=_name

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.core.exceptions import SolverError
-from repro.core.paper_matrices import figure_1b, figure_3
+from repro.core.paper_matrices import figure_1b
 from repro.service.budget import PortfolioBudget
 from repro.service.portfolio import solve_portfolio
 from tests.conftest import SERVICE_SEED
@@ -82,20 +82,6 @@ class TestExhaustionMidRace:
             outcome = result.member(name)
             assert outcome.skipped
             assert outcome.error == "portfolio budget exhausted"
-
-    def test_exhaustion_mid_race_concurrent(self):
-        pot = PortfolioBudget(0.001)
-        time.sleep(0.01)
-        result = solve_portfolio(
-            figure_1b(),
-            members=("packing:4", "sap", "branch_bound"),
-            seed=SERVICE_SEED,
-            budget=pot,
-            race="concurrent",
-        )
-        result.partition.validate(figure_1b())
-        assert result.member("sap").skipped
-        assert result.member("branch_bound").skipped
 
     def test_starved_exact_member_reports_budget_error(self):
         """A member that *starts* with a zero slice fails inside the

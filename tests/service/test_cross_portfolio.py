@@ -3,9 +3,11 @@
 For every paper matrix and a seeded random sample, each member must
 return a *valid* partition (validated both as an EBMF and as a cover),
 the exact backends (SAP, branch and bound) must agree on the optimal
-depth, and every heuristic must land at or above it.
+depth, and every heuristic must land at or above it.  Members run and
+report in spec order, and a cancel flag set beforehand skips them all.
 """
 
+import threading
 from importlib import import_module
 
 import pytest
@@ -191,6 +193,45 @@ class TestProvenance:
         result.partition.validate(figure_1b())
         assert result.member("sap").skipped
         assert result.winner == "trivial"
+
+
+class TestSequentialRunner:
+    def test_external_cancel_skips_everything(self):
+        members = ("trivial", "packing:8", "sap", "branch_bound")
+        cancel = threading.Event()
+        cancel.set()
+        result = solve_portfolio(
+            figure_3(), members=members, seed=SERVICE_SEED, cancel=cancel
+        )
+        # All members cancelled -> trivial fallback still yields a
+        # valid partition.
+        result.partition.validate(figure_3())
+        assert result.winner == "trivial"
+        for name in members:
+            assert result.member(name).skipped
+
+    def test_external_cancel_skips_sequential_too(self):
+        cancel = threading.Event()
+        cancel.set()
+        result = solve_portfolio(
+            figure_3(),
+            members=("packing:4", "sap"),
+            seed=SERVICE_SEED,
+            cancel=cancel,
+        )
+        result.partition.validate(figure_3())
+        assert all(o.skipped for o in result.outcomes[:2])
+
+    def test_on_member_callback_order_sequential(self):
+        seen = []
+        solve_portfolio(
+            figure_3(),
+            members=("trivial", "packing:4", "sap"),
+            seed=SERVICE_SEED,
+            stop_when_optimal=False,
+            on_member=lambda outcome: seen.append(outcome.name),
+        )
+        assert seen == ["trivial", "packing:4", "sap"]
 
 
 TRANSPOSE_PACKS_SHALLOWER = BinaryMatrix.from_strings(

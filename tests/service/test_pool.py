@@ -25,7 +25,6 @@ def _payload(case_id, seed, members=MEMBERS):
         None,
         None,
         True,
-        "sequential",
     )
 
 

@@ -38,10 +38,6 @@ PINNED_KEYS = {
         {"budget_per_member": 2.5},
         "f3916925aa09a43a43dc4c502ecdccc3fe45721af5387f55cdf36cd79582d686",
     ),
-    "concurrent": (
-        {"race": "concurrent"},
-        "224b56fa84e21e0481cfa81a96184a956ae39ef533306e480e0b214d71be5851",
-    ),
 }
 
 # solve_batch reads a bare per-instance budget as PortfolioBudget seconds
@@ -89,16 +85,14 @@ class TestPinnedKeys:
 
 class TestValidation:
     def test_library_values_are_kept_as_given(self):
-        options = SolveOptions(
-            ["trivial"], np.int64(3), 5, 2, False, "concurrent"
-        )
+        options = SolveOptions(["trivial"], np.int64(3), 5, 2, False)
         assert options.members == ("trivial",)
         assert isinstance(options.seed, np.int64)
         for budget in (options.budget_per_instance, options.budget_per_member):
             assert isinstance(budget, float)
         item = BatchItem("a", equation_2(), options.members)
         assert options.context(item) == solve_context(
-            ("trivial",), instance_seed(3, "a"), 5.0, 2.0, False, "concurrent"
+            ("trivial",), instance_seed(3, "a"), 5.0, 2.0, False
         )
 
     @pytest.mark.parametrize(
@@ -118,7 +112,6 @@ class TestValidation:
             ("budget_per_instance", False),
             ("stop_when_optimal", "yes"),
             ("stop_when_optimal", 1),
-            ("race", "warp"),
         ],
     )
     def test_bad_values_are_rejected(self, field, value):
